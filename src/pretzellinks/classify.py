@@ -74,11 +74,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
 
 
 def _dihedral_variants(seq: EnhancedSequence):
-    ent = seq.entries
-    u = len(ent)
-    words = {ent[t:] + ent[:t] for t in range(u)}
-    rev = tuple(reversed(ent))
-    words.update(rev[t:] + rev[:t] for t in range(u))
+    words = set(sequences.dihedral_words(seq.entries))
     return [EnhancedSequence(w, base=seq.base) for w in sorted(words, key=str)]
 
 
@@ -161,13 +157,9 @@ def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
     ea = sequences.normalize_even(sequences.even_subsequence(a)).entries
     eb = sequences.normalize_even(sequences.even_subsequence(b)).entries
     u = len(ea)
-    for t in range(u):
-        if ea[t:] + ea[:t] == eb:
-            return ("rotation", t)
-    rev = tuple(reversed(ea))
-    for t in range(u):
-        if rev[t:] + rev[:t] == eb:
-            return ("reflection", t)
+    for i, word in enumerate(sequences.dihedral_words(ea)):
+        if word == eb:
+            return ("rotation", i) if i < u else ("reflection", i - u)
     raise InternalConsistencyError("equal canonical keys but no dihedral match")
 
 

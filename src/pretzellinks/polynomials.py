@@ -1,17 +1,15 @@
 """Conway polynomials of pretzel links by resolution and closed forms.
 
 Two engines live here: a state sum over per-region resolutions and a
-memoized twist-by-twist recursion.  Both bottom out in `base_conway`, a
-calibrated rewrite system for resolved sequences whose every rule is
-cross-checked against the diagram oracle (and which falls back to the oracle
-for anything outside its rule coverage).  Closed forms for the first two
-interesting coefficients of 2-component pretzels are also provided.
+memoized twist-by-twist recursion.  Both bottom out in `base_conway`, which
+reads the value of a resolved sequence off counts of its finite entries; a
+lemma on base-word orientations (see its docstring) shows the rules cover
+every orientable base word, and they are cross-checked against the diagram
+oracle.  Closed forms for the first two interesting coefficients of
+2-component pretzels are also provided.
 """
 
 from __future__ import annotations
-
-import threading
-from typing import Optional
 
 from . import diagrams
 from .errors import InvalidSequenceError, UnrealizableOrientationError, UnsupportedError
@@ -28,27 +26,24 @@ from .sequences import (
 from .zpoly import ZPoly, binomial, coefficient, exact_div  # noqa: F401 (re-export)
 
 
-def phi_poly(t: int, cap: Optional[int] = None) -> ZPoly:
+def phi_poly(t: int) -> ZPoly:
     """Odd twist-coefficient polynomial: sum of C(t+i, 2i+1) z^(2i+1).
 
-    The support is finite (terms vanish for i >= |t|); `cap` only truncates
-    the reported polynomial.
+    The support is finite (terms vanish for i >= |t|).
     """
     coeffs = [0] * (2 * abs(t) + 1)
     for i in range(abs(t)):
         coeffs[2 * i + 1] = binomial(t + i, 2 * i + 1)
-    poly = ZPoly(coeffs)
-    return poly if cap is None else poly.truncate(cap)
+    return ZPoly(coeffs)
 
 
-def psi_poly(t: int, cap: Optional[int] = None) -> ZPoly:
+def psi_poly(t: int) -> ZPoly:
     """Even twist-coefficient polynomial: sum of C(t+i, 2i) z^(2i)."""
     n_terms = t + 1 if t >= 0 else -t
     coeffs = [0] * (2 * n_terms)
     for i in range(n_terms):
         coeffs[2 * i] = binomial(t + i, 2 * i)
-    poly = ZPoly(coeffs)
-    return poly if cap is None else poly.truncate(cap)
+    return ZPoly(coeffs)
 
 
 def torus_conway(k, eps: TwistType) -> ZPoly:
@@ -70,63 +65,50 @@ def torus_conway(k, eps: TwistType) -> ZPoly:
 # ---------------------------------------------------------------------------
 # base sequences
 
-# Shared across calls; values are immutable, the lock guards the table for
-# concurrent callers.
-_BASE_MEMO: dict = {}
-_BASE_LOCK = threading.Lock()
-
 
 def base_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial of a fully resolved (base) pretzel closure.
 
     Entries must come from the resolution alphabet {0s, infs, 1s, infr, 1r,
-    0r}.  The value is produced by rewrite rules (drop crossingless cap-cup
-    regions, then read off the torus/split/unknot pattern); anything outside
-    the calibrated coverage is delegated to the diagram oracle.
+    0r}.  The value depends only on counts over the finite entries:
+
+    - no finite entries (every region a cap-cup, two circles): 0;
+    - m finite entries, all 1s: the torus value torus_conway(-m, R);
+    - otherwise two or more zeros: 0 (split); exactly one zero: 1 (unknot);
+      no zeros, so m copies of 1r: torus_conway(-m, S).
+
+    These rules cover every orientable base word.  On a base word
+    `diagrams.orientation_data` forces bot[j] = c * top[j] on both bridges of
+    each region, with c = +1 for 1s and infr and c = -1 for 1r, 0s, 0r and
+    infs.  Neighbouring regions share a bridge, so c is the same all round the
+    cycle.  The orientable words are therefore exactly (A) every entry in
+    {1s, infr}, and (B) every entry in {1r, 0s, 0r, infs} with an even number
+    of 1r and 0r (the top-bridge parity).  So the finite entries are all 1s
+    (class A) or all in {1r, 0s, 0r} (class B), and in class B with no zeros
+    m is even.  The tests and the selftest check the rules against the
+    diagram oracle.
     """
     for e in seq:
         if not (e.is_inf or e.k in (0, 1)):
             raise InvalidSequenceError(f"{e} is not a base entry")
-    key = dihedral_canonical(seq.entries)
-    with _BASE_LOCK:
-        cached = _BASE_MEMO.get(key)
-    if cached is not None:
-        return cached
-    value = _base_value(EnhancedSequence(key, base=True))
-    with _BASE_LOCK:
-        _BASE_MEMO[key] = value
-    return value
-
-
-def _base_value(seq: EnhancedSequence) -> ZPoly:
     # Reject unrealizable tag patterns up front (the rules assume a diagram).
     diagrams.orientation_data(seq)
-    rest = [e for e in seq if not e.is_inf]
-    if not rest:
-        # Every region is a cap-cup: two crossingless circles.
+    finite = [e for e in seq if not e.is_inf]
+    m = len(finite)
+    if not m:
         return ZPoly.zero()
-    if all(e.k == 1 and e.eps is S for e in rest):
-        # Cyclic single anti-parallel crossings close into a torus diagram.
-        m = len(rest)
+    if all(e.k == 1 and e.eps is S for e in finite):
         return torus_conway(-m, R)
-    if all(e.k in (0, 1) and (e.eps is R or e.k == 0) for e in rest):
-        zeros = sum(1 for e in rest if e.k == 0)
-        if zeros >= 2:
-            return ZPoly.zero()
-        if zeros == 1:
-            return ZPoly.one()
-        m = len(rest)
-        if m % 2 != 0:
-            raise UnrealizableOrientationError(
-                "odd cyclic parallel crossings admit no orientation")
-        return torus_conway(-m, S)
-    return diagrams.oracle_conway(seq)
+    zeros = sum(1 for e in finite if e.k == 0)
+    if zeros >= 2:
+        return ZPoly.zero()
+    if zeros == 1:
+        return ZPoly.one()
+    return torus_conway(-m, S)
 
 
 # ---------------------------------------------------------------------------
 # state sum
-
-_Z = ZPoly.term(1, 1)
 
 
 def _resolutions(e: Entry) -> list[tuple[ZPoly, Entry]]:

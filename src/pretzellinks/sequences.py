@@ -157,9 +157,11 @@ def _split_sequence_text(text: str) -> list[str]:
     m = re.match(r"^[pP]\s*\((?P<body>.*)\)\s*$", s)
     if m:
         s = m.group("body")
-    toks = [t for t in (p.strip() for p in s.split(",")) if t]
-    if not toks:
+    if not s.strip():
         raise ParseError(f"empty sequence text: {text!r}")
+    toks = [p.strip() for p in s.split(",")]
+    if not all(toks):
+        raise ParseError(f"empty entry in sequence text: {text!r}")
     return toks
 
 
@@ -252,24 +254,19 @@ def normalize_even(seq: EnhancedSequence) -> EnhancedSequence:
         base=seq.base)
 
 
-def _rotations(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
-    u = len(entries)
-    for t in range(u):
-        yield entries[t:] + entries[:t]
+def dihedral_words(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
+    """The 2u words of the dihedral orbit: every rotation of the word, then
+    every rotation of its reverse (rotation t of either starts at index t)."""
+    for word in (entries, entries[::-1]):
+        for t in range(len(word)):
+            yield word[t:] + word[:t]
 
 
 def cyc_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
     """Equality of cyclic words up to rotation and reflection."""
     if len(a) != len(b):
         return False
-    target = b.entries
-    for rot in _rotations(a.entries):
-        if rot == target:
-            return True
-    for rot in _rotations(tuple(reversed(a.entries))):
-        if rot == target:
-            return True
-    return False
+    return any(word == b.entries for word in dihedral_words(a.entries))
 
 
 def _entry_sort_key(e: Entry):
@@ -279,15 +276,8 @@ def _entry_sort_key(e: Entry):
 
 def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
     """Lexicographically least word over all rotations and reflections."""
-    best = None
-    best_key = None
-    for word in (entries, tuple(reversed(entries))):
-        for rot in _rotations(word):
-            key = tuple(_entry_sort_key(e) for e in rot)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = rot
-    return best
+    return min(dihedral_words(entries),
+               key=lambda word: tuple(_entry_sort_key(e) for e in word))
 
 
 def canonical_key(seq: EnhancedSequence) -> EnhancedSequence:

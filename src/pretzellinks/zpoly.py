@@ -86,9 +86,6 @@ class ZPoly:
             raise ValueError("negative index")
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def truncate(self, max_degree: int) -> "ZPoly":
-        return ZPoly(self.coeffs[: max_degree + 1])
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ZPoly") -> "ZPoly":

@@ -35,6 +35,7 @@ def test_conway_rejects_unrealizable(capsys):
 def test_conway_rejects_garbage(capsys):
     assert run(capsys, "conway", "2x,3y")[0] == 2
     assert run(capsys, "conway", "0s,1r")[0] == 2
+    assert run(capsys, "conway", "1s,,1s")[0] == 2
 
 
 def test_equiv_fixture(capsys):

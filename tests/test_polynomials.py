@@ -53,11 +53,6 @@ def test_phi_psi_support():
         assert psi_poly(t).degree <= 2 * n - 2
 
 
-def test_cap_truncates_reporting_only():
-    assert phi_poly(3, cap=3) == ZPoly((0, 3, 0, 4))
-    assert phi_poly(3, cap=99) == phi_poly(3)
-
-
 @given(st.integers(-20, 20))
 def test_pascal_identities(p):
     assert phi_poly(-p) == -phi_poly(p)
@@ -136,12 +131,14 @@ def test_base_conway_examples():
         base_conway(seq((2, S), (1, R), base=True))
 
 
+BASE_ALPHABET = [Entry(0, S), Entry(INF, S), Entry(1, S),
+                 Entry(INF, R), Entry(1, R), Entry(0, R)]
+
+
 def test_base_conway_agrees_with_oracle_exhaustively():
-    alphabet = [Entry(0, S), Entry(INF, S), Entry(1, S),
-                Entry(INF, R), Entry(1, R), Entry(0, R)]
     checked = 0
-    for u in range(1, 6):
-        for combo in itertools.product(alphabet, repeat=u):
+    for u in range(1, 7):
+        for combo in itertools.product(BASE_ALPHABET, repeat=u):
             s = EnhancedSequence(combo, base=True)
             try:
                 diagrams.orientation_data(s)
@@ -151,7 +148,25 @@ def test_base_conway_agrees_with_oracle_exhaustively():
             want = ZPoly.zero() if d.is_split else diagrams._conway_of(d)
             assert base_conway(s) == want, str(s)
             checked += 1
-    assert checked > 500
+    assert checked == 2856  # sum over u of 2^u + 2^(2u-1)
+
+
+def test_orientable_base_words_are_classes_a_and_b():
+    # The lemma behind base_conway's rules: a base word is orientable exactly
+    # when all its entries are in {1s, infr} (A), or all are in
+    # {1r, 0s, 0r, infs} with an even number of 1r and 0r (B).
+    class_a = {Entry(1, S), Entry(INF, R)}
+    for u in range(1, 7):
+        for combo in itertools.product(BASE_ALPHABET, repeat=u):
+            in_a = all(e in class_a for e in combo)
+            in_b = (not any(e in class_a for e in combo)
+                    and sum(1 for e in combo if not e.is_inf and e.eps is R) % 2 == 0)
+            try:
+                diagrams.orientation_data(EnhancedSequence(combo, base=True))
+                orientable = True
+            except UnrealizableOrientationError:
+                orientable = False
+            assert orientable == (in_a or in_b), combo
 
 
 # -- the two resolution engines ---------------------------------------------

@@ -255,6 +255,12 @@ def test_parse_grammar():
         parse_plain("4s,5r")
     with pytest.raises(ParseError):
         EnhancedSequence.parse("")
+    for text in ("1s,,1s", "1s,", ",1s", "P(4s,,5r)"):
+        with pytest.raises(ParseError):
+            EnhancedSequence.parse(text)
+    for text in ("1,,1", "1,", ",1", "P(4,,5)"):
+        with pytest.raises(ParseError):
+            parse_plain(text)
 
 
 def test_user_level_entries_validated():

@@ -49,7 +49,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     diagram = diagrams.build_diagram(seq)
     mu = diagram.ncomponents
     nabla = diagrams._conway_of(diagram)
-    comps = tuple(diagrams.component_conway(seq, j) for j in range(1, mu + 1))
+    comps = tuple(diagrams.component_conway(diagram, j) for j in range(1, mu + 1))
     a2_sum = sum(c.coefficient(2) for c in comps)
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
@@ -294,20 +294,23 @@ def class_key(seq: EnhancedSequence) -> tuple[int, str]:
     return mu, f"even={key};surplus={sequences.twist_surplus(seq)}"
 
 
+# Largest bound volume (enhanced sequences) enumerate_classes accepts.
+MAX_ENUMERATION = 400_000
+
+
 def enumerate_classes(max_u: int, max_twist: int,
-                      components: Optional[int] = None,
-                      limit: int = 400_000) -> ClassTable:
+                      components: Optional[int] = None) -> ClassTable:
     """Classify every realizable sequence within the bounds.
 
     Raises ResourceLimitError (before doing any work) when the bound volume
-    exceeds `limit` enhanced sequences.
+    exceeds MAX_ENUMERATION enhanced sequences.
     """
     if max_u < 1 or max_twist < 1:
         raise InvalidSequenceError("bounds must be positive")
     volume = sum((2 * max_twist) ** u * 2 ** u for u in range(1, max_u + 1))
-    if volume > limit:
+    if volume > MAX_ENUMERATION:
         raise ResourceLimitError(
-            f"bounds enumerate up to {volume} sequences (limit {limit})")
+            f"bounds enumerate up to {volume} sequences (limit {MAX_ENUMERATION})")
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     rows = []
     classes: dict[str, list[str]] = {}

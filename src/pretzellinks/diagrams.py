@@ -5,7 +5,9 @@ A diagram is built directly from the cyclic sequence: u twist regions with
 bottom bridges.  Orientations are propagated from a positive first top
 bridge.  The oracle computes a Seifert matrix for the surface obtained by
 orientation-respecting smoothing and evaluates det(x*V - x^-1*V^T) exactly,
-rewritten in z = x - x^-1.
+rewritten in z = x - x^-1.  `component_conway(diagram, j)` takes a built
+diagram and evaluates the side-closure of component j with the oracle, so a
+caller that needs every component builds the full diagram once.
 
 Crossing-sign and pushoff conventions are frozen by calibration fixtures
 (P(1s,1s) -> -z, P(1r,1r) -> z, anti-parallel torus twists -> -p*z); the test
@@ -15,6 +17,7 @@ suite re-checks them.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,9 +29,6 @@ from .errors import (
 )
 from .sequences import INF, EnhancedSequence, Entry, R, S
 from .zpoly import LaurentZ, ZPoly, exact_div
-
-_CORNERS = ("NW", "NE", "SW", "SE")
-
 
 # ---------------------------------------------------------------------------
 # orientation propagation
@@ -105,10 +105,8 @@ class Diagram:
 
     seq: EnhancedSequence
     or_top: tuple[int, ...]
-    or_bot: tuple[int, ...]
     regions: tuple[RegionInfo, ...]
     crossings: tuple[Crossing, ...]
-    arc_components: tuple[int, ...]
     ncomponents: int
     is_split: bool
     seifert_circles: int
@@ -118,26 +116,29 @@ class Diagram:
         return len(self.regions)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
+# Node offsets: a region's block holds its four terminals, then four corners
+# per crossing (crossing j's corner q at _FIRST_CORNER + 4 * j + q).
+_TL, _TR, _BL, _BR = range(4)
+_NW, _NE, _SW, _SE = range(4)
+_FIRST_CORNER = 4
 
-    def find(self, x):
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
+def _classes(n: int, joins) -> list[int]:
+    """Class label of each of range(n) under the joins, numbered in order of
+    each class's smallest element."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in joins:
+        ra, rb = find(a), find(b)
         if ra != rb:
-            self.parent[ra] = rb
+            parent[max(ra, rb)] = min(ra, rb)
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(x), len(labels)) for x in range(n)]
 
 
 def _strand_layout(entry: Entry, j: int, a_down: bool, b_down: bool):
@@ -162,102 +163,62 @@ def _cross2(a, b) -> int:
 
 
 def build_diagram(seq: EnhancedSequence) -> Diagram:
-    """Realize the sequence as an explicit oriented crossing-level diagram."""
-    or_top, or_bot = orientation_data(seq)
+    """Realize the sequence as an explicit oriented crossing-level diagram.
+
+    Numbering contract: components are numbered by the first region they
+    touch, and within a region top-left before top-right before the bottom
+    strands.  Arc ids follow crossing order, each crossing's four arcs
+    counterclockwise from the incoming under-strand; crossingless loops
+    come last.
+    """
+    or_top = orientation_data(seq)[0]
     u = len(seq)
+    twists = [0 if e.is_inf else abs(e.k) for e in seq]
+    offsets = list(accumulate((_FIRST_CORNER + 4 * n for n in twists), initial=0))
 
     wires = []
-    crossing_ids = []
     for i, e in enumerate(seq):
+        o, nxt = offsets[i], offsets[(i + 1) % u]
+        wires += [(o + _TR, nxt + _TL), (o + _BR, nxt + _BL)]
+        n = twists[i]
         if e.is_inf:
-            wires.append((("T", i, "L"), ("T", i, "R")))
-            wires.append((("B", i, "L"), ("B", i, "R")))
-            continue
-        n = abs(e.k)
-        if n == 0:
-            wires.append((("T", i, "L"), ("B", i, "L")))
-            wires.append((("T", i, "R"), ("B", i, "R")))
-            continue
-        wires.append((("T", i, "L"), ("C", i, 0, "NW")))
-        wires.append((("T", i, "R"), ("C", i, 0, "NE")))
-        for j in range(n - 1):
-            wires.append((("C", i, j, "SW"), ("C", i, j + 1, "NW")))
-            wires.append((("C", i, j, "SE"), ("C", i, j + 1, "NE")))
-        wires.append((("C", i, n - 1, "SW"), ("B", i, "L")))
-        wires.append((("C", i, n - 1, "SE"), ("B", i, "R")))
-        crossing_ids.extend(("C", i, j) for j in range(n))
-    for i in range(u):
-        wires.append((("T", i, "R"), ("T", (i + 1) % u, "L")))
-        wires.append((("B", i, "R"), ("B", (i + 1) % u, "L")))
+            wires += [(o + _TL, o + _TR), (o + _BL, o + _BR)]
+        elif n == 0:
+            wires += [(o + _TL, o + _BL), (o + _TR, o + _BR)]
+        else:
+            c = o + _FIRST_CORNER
+            last = c + 4 * (n - 1)
+            wires += [(o + _TL, c + _NW), (o + _TR, c + _NE),
+                      (last + _SW, o + _BL), (last + _SE, o + _BR)]
+            for x in range(c, last, 4):
+                wires += [(x + _SW, x + 4 + _NW), (x + _SE, x + 4 + _NE)]
+    arc_of = _classes(offsets[u], wires)
 
-    nodes = []
-    for a, b in wires:
-        nodes.append(a)
-        nodes.append(b)
-    nodes = list(dict.fromkeys(nodes))
-
-    # Link components: wires plus the strand passing through each crossing.
-    comp_uf = _UnionFind()
-    for a, b in wires:
-        comp_uf.union(a, b)
-    for cid in crossing_ids:
-        comp_uf.union(cid + ("NW",), cid + ("SE",))
-        comp_uf.union(cid + ("NE",), cid + ("SW",))
-
-    comp_index: dict = {}
-    for node in nodes:
-        root = comp_uf.find(node)
-        if root not in comp_index:
-            comp_index[root] = len(comp_index)
-    ncomponents = len(comp_index)
-
-    def comp_of(node) -> int:
-        return comp_index[comp_uf.find(node)]
-
-    # Split detection: connectivity of the underlying 4-valent graph.
-    graph_uf = _UnionFind()
-    for a, b in wires:
-        graph_uf.union(a, b)
-    for cid in crossing_ids:
-        graph_uf.union(cid + ("NW",), cid + ("NE",))
-        graph_uf.union(cid + ("NW",), cid + ("SW",))
-        graph_uf.union(cid + ("NW",), cid + ("SE",))
-    graph_roots = {graph_uf.find(n) for n in nodes}
-    is_split = len(graph_roots) > 1
-
-    # Seifert circles: orientation-respecting smoothing of every crossing.
-    seifert_uf = _UnionFind()
-    for a, b in wires:
-        seifert_uf.union(a, b)
-
-    # Arcs: maximal crossingless strands (wire classes).
-    arc_uf = _UnionFind()
-    for a, b in wires:
-        arc_uf.union(a, b)
-
-    regions = []
-    crossings = []
-    arc_index: dict = {}
-
-    def arc_of(node) -> int:
-        root = arc_uf.find(node)
-        if root not in arc_index:
-            arc_index[root] = len(arc_index)
-        return arc_index[root]
-
+    # Crossing joins on the arcs: the strands through each crossing (link
+    # components), all four corners (split test), and the orientation-
+    # respecting smoothing (Seifert circles).
+    strand_joins, side_joins, seifert_joins = [], [], []
+    placed = []
+    region_sign: list[Optional[int]] = [None] * u
     for i, e in enumerate(seq):
-        c_left = comp_of(("T", i, "L"))
-        c_right = comp_of(("T", i, "R"))
-        if e.is_inf or e.k == 0:
-            regions.append(RegionInfo(e, 0, None, c_left, c_right))
+        n = twists[i]
+        if n == 0:
             continue
-        n = abs(e.k)
         a_down = or_top[(i - 1) % u] == 1
         b_down = or_top[i] == -1
+        parallel = (a_down == b_down)
+        over_on_nwse = e.k > 0
         sign = None
         for j in range(n):
+            first = offsets[i] + _FIRST_CORNER + 4 * j
+            corner_arcs = arc_of[first:first + 4]
+            nw, ne, sw, se = corner_arcs
+            strand_joins += [(nw, se), (ne, sw)]
+            side_joins.append((nw, ne))
+            seifert_joins += ([(nw, sw), (ne, se)] if parallel
+                              else [(nw, ne), (sw, se)])
+
             a_on_nwse, vec_a, vec_b = _strand_layout(e, j, a_down, b_down)
-            over_on_nwse = e.k > 0
             over_vec, under_vec = ((vec_a, vec_b) if a_on_nwse == over_on_nwse
                                    else (vec_b, vec_a))
             s = exact_div(_cross2(under_vec, over_vec), 2)
@@ -265,55 +226,40 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
                 sign = s
             elif sign != s:
                 raise InternalConsistencyError("mixed signs inside a twist region")
+            ccw = _ccw_from(_incoming_corner(not over_on_nwse, under_vec))
+            placed.append((i, j, tuple(corner_arcs[q] for q in ccw), s))
+        region_sign[i] = sign
 
-            parallel = (a_down == b_down)
-            cid = ("C", i, j)
-            if parallel:
-                seifert_uf.union(cid + ("NW",), cid + ("SW",))
-                seifert_uf.union(cid + ("NE",), cid + ("SE",))
-            else:
-                seifert_uf.union(cid + ("NW",), cid + ("NE",))
-                seifert_uf.union(cid + ("SW",), cid + ("SE",))
-
-            under_on_nwse = not over_on_nwse
-            under_vec_strand = vec_a if a_on_nwse == under_on_nwse else vec_b
-            incoming = _incoming_corner(under_on_nwse, under_vec_strand)
-            order = _ccw_from(incoming)
-            crossings.append(Crossing(
-                region=i, slot=j,
-                arcs=tuple(arc_of(cid + (corner,)) for corner in order),
-                sign=s))
-        regions.append(RegionInfo(e, n, sign, c_left, c_right))
-
-    seifert_roots = {seifert_uf.find(n) for n in nodes}
-
-    arc_components = {}
-    for node in nodes:
-        aid = arc_of(node)
-        arc_components[aid] = comp_of(node)
-    arc_comp_tuple = tuple(arc_components[i] for i in range(len(arc_components)))
-
-    free_loops = len({arc_uf.find(n) for n in nodes}) - len(
-        {arc_uf.find(c + (corner,)) for c in crossing_ids for corner in _CORNERS})
-    if not crossing_ids:
-        free_loops = len({arc_uf.find(n) for n in nodes})
+    narcs = max(arc_of) + 1
+    comp_of = _classes(narcs, strand_joins)
+    pd_id: dict[int, int] = {}
+    crossings = tuple(
+        Crossing(region=i, slot=j,
+                 arcs=tuple(pd_id.setdefault(a, len(pd_id)) for a in arcs),
+                 sign=s)
+        for i, j, arcs, s in placed)
+    regions = tuple(
+        RegionInfo(e, twists[i], region_sign[i],
+                   comp_of[arc_of[offsets[i] + _TL]],
+                   comp_of[arc_of[offsets[i] + _TR]])
+        for i, e in enumerate(seq))
 
     return Diagram(
-        seq=seq, or_top=or_top, or_bot=or_bot,
-        regions=tuple(regions), crossings=tuple(crossings),
-        arc_components=arc_comp_tuple, ncomponents=ncomponents,
-        is_split=is_split, seifert_circles=len(seifert_roots),
-        free_loops=free_loops)
+        seq=seq, or_top=or_top, regions=regions, crossings=crossings,
+        ncomponents=max(comp_of) + 1,
+        is_split=max(_classes(narcs, strand_joins + side_joins)) > 0,
+        seifert_circles=max(_classes(narcs, seifert_joins)) + 1,
+        free_loops=narcs - len(pd_id))
 
 
-def _incoming_corner(on_nwse: bool, vec) -> str:
+def _incoming_corner(on_nwse: bool, vec) -> int:
     if on_nwse:
-        return "NW" if vec == (1, -1) else "SE"
-    return "NE" if vec == (-1, -1) else "SW"
+        return _NW if vec == (1, -1) else _SE
+    return _NE if vec == (-1, -1) else _SW
 
 
-def _ccw_from(corner: str) -> tuple[str, str, str, str]:
-    cycle = ("NW", "SW", "SE", "NE")
+def _ccw_from(corner: int) -> tuple[int, int, int, int]:
+    cycle = (_NW, _SW, _SE, _NE)
     i = cycle.index(corner)
     return cycle[i:] + cycle[:i]
 
@@ -561,14 +507,14 @@ def _conway_of(diagram: Diagram) -> ZPoly:
     return conway_from_seifert(seifert_matrix(diagram))
 
 
-def component_conway(seq: EnhancedSequence, j: int) -> ZPoly:
+def component_conway(diagram: Diagram, j: int) -> ZPoly:
     """Conway polynomial of component j (1-based) after deleting the others.
 
     Deleting the other components leaves the run of regions fully owned by
     component j, side-closed; that is again a pretzel diagram with one
     crossingless region appended.
     """
-    diagram = build_diagram(seq)
+    seq = diagram.seq
     mu = diagram.ncomponents
     if not 1 <= j <= mu:
         raise InvalidSequenceError(f"component index {j} out of range 1..{mu}")

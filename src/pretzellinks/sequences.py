@@ -128,10 +128,6 @@ class EnhancedSequence:
             flag = True
         return EnhancedSequence(tuple(new), base=flag)
 
-    def delete(self, i: int) -> "EnhancedSequence":
-        new = self.entries[:i] + self.entries[i + 1:]
-        return EnhancedSequence(new, base=self.base)
-
     @classmethod
     def of(cls, *pairs, base: bool = False) -> "EnhancedSequence":
         """Build from (k, eps) pairs, e.g. EnhancedSequence.of((4, S), (5, R))."""

@@ -61,10 +61,6 @@ class ZPoly:
         return cls((1,))
 
     @classmethod
-    def const(cls, c: int) -> "ZPoly":
-        return cls((c,))
-
-    @classmethod
     def term(cls, coeff: int, exp: int) -> "ZPoly":
         if exp < 0:
             raise ValueError("negative exponent")
@@ -119,12 +115,6 @@ class ZPoly:
         return ZPoly(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "ZPoly":
-        """Multiply by z^k."""
-        if self.is_zero():
-            return self
-        return ZPoly((0,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ZPoly) and self.coeffs == other.coeffs

@@ -55,6 +55,22 @@ def test_invariants_report_fields():
     assert rep3.even_key is None
 
 
+def test_invariants_builds_the_diagram_once(monkeypatch):
+    from pretzellinks import diagrams
+    build = diagrams.build_diagram
+    built = []
+
+    def counting_build(s):
+        built.append(s)
+        return build(s)
+
+    monkeypatch.setattr(diagrams, "build_diagram", counting_build)
+    for s in (A, K1, seq((-2, S), (2, R), (-3, R)), seq((1, S), (1, S), (1, S))):
+        built.clear()
+        invariants(s)
+        assert built.count(s) == 1, str(s)
+
+
 def test_invariants_a2_sum_vanishes_for_trivial_components():
     rep = invariants(K2)
     assert all(c == ZPoly.one() for c in rep.component_conways)

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from conftest import parity_law_ok, seq
+from conftest import all_plain_sequences, parity_law_ok, seq
 from pretzellinks.diagrams import (
     Diagram,
     SeifertMatrix,
@@ -325,20 +326,20 @@ def test_skein_checks_pass_on_samples():
 
 
 def test_component_conway_values():
-    k1 = seq((6, R), (-6, R), (1, R), (1, R))
+    k1 = build_diagram(seq((6, R), (-6, R), (1, R), (1, R)))
     assert component_conway(k1, 1) == ZPoly.one()
     assert component_conway(k1, 2) == ZPoly.one()
     # Normal-form sequences have trivial components.
-    nf = seq((4, S), (6, R), (2, S), (1, R))
+    nf = build_diagram(seq((4, S), (6, R), (2, S), (1, R)))
     for j in (1, 2, 3):
         assert component_conway(nf, j) == ZPoly.one()
     # A 3-twist run side-closes into a trefoil component.
-    s = seq((-2, S), (2, R), (-3, R))
-    assert sorted(str(component_conway(s, j)) for j in (1, 2)) == ["1", "1 + z^2"]
+    d = build_diagram(seq((-2, S), (2, R), (-3, R)))
+    assert sorted(str(component_conway(d, j)) for j in (1, 2)) == ["1", "1 + z^2"]
     # Whole diagram for a knot.
     knot = seq((2, S), (3, R), (3, R))
-    assert component_conway(knot, 1) == oracle_conway(knot)
-    assert component_conway(knot, 1) == twistreduce_conway(knot)
+    assert component_conway(build_diagram(knot), 1) == oracle_conway(knot)
+    assert component_conway(build_diagram(knot), 1) == twistreduce_conway(knot)
     with pytest.raises(InvalidSequenceError):
         component_conway(k1, 3)
 
@@ -358,6 +359,42 @@ def test_pd_code_structure():
             counts[a] = counts.get(a, 0) + 1
     # every arc is incident to exactly two crossing corners
     assert all(c == 2 for c in counts.values())
+
+
+# SHA-256 of the records below over every realizable sequence with u <= 4,
+# |k| <= 3 (2,782) and every orientable base word with u <= 3 (56).
+GOLDEN_DIAGRAM_DIGEST = (
+    "f6b5c6d5e5af327f6644ab5e775715ed6c2e5db7d15662270588aec06546d6fa")
+
+
+def _golden_inputs():
+    for ks in all_plain_sequences(4, 3):
+        yield from enumerate_enhancements(ks)
+    alphabet = [Entry(0, S), Entry(INF, S), Entry(1, S),
+                Entry(INF, R), Entry(1, R), Entry(0, R)]
+    for u in range(1, 4):
+        for combo in itertools.product(alphabet, repeat=u):
+            s = EnhancedSequence(combo, base=True)
+            try:
+                orientation_data(s)
+            except UnrealizableOrientationError:
+                continue
+            yield s
+
+
+def test_diagram_outputs_golden():
+    """Pins component numbering, arc ids, signs and counts byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for s in _golden_inputs():
+        d = build_diagram(s)
+        regions = tuple((r.comp_left, r.comp_right, r.sign) for r in d.regions)
+        record = repr((str(s), pd_code(d), linking_matrix(d), d.ncomponents,
+                       d.is_split, d.seifert_circles, d.free_loops, regions))
+        digest.update(record.encode() + b"\n")
+        count += 1
+    assert count == 2782 + 56
+    assert digest.hexdigest() == GOLDEN_DIAGRAM_DIGEST
 
 
 def test_parity_law_on_oracle_values(small_realizable):

@@ -49,7 +49,9 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     diagram = diagrams.build_diagram(seq)
     mu = diagram.ncomponents
     nabla = diagrams._conway_of(diagram)
-    comps = tuple(diagrams.component_conway(diagram, j) for j in range(1, mu + 1))
+    # A knot is its own only component: reuse nabla, not a second determinant.
+    comps = (nabla,) if mu == 1 else tuple(
+        diagrams.component_conway(diagram, j) for j in range(1, mu + 1))
     a2_sum = sum(c.coefficient(2) for c in comps)
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)

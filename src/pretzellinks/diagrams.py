@@ -40,40 +40,39 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
     Bridge i joins region i to region i+1 (indices mod u); the first top
     bridge is pinned positive.  Raises UnrealizableOrientationError when the
     tags admit no consistent assignment.
+
+    A finite r region reverses the top orientation across it; any other
+    region keeps it.  Once the top bridges close up, each region forces
+    bot = c * top on both of its bridges, with c = +1 for odd s and inf r
+    regions and c = -1 for the rest.  Neighbouring regions share a bridge,
+    so the bottom bridges are consistent exactly when c is the same for
+    every region.
     """
-    u = len(seq)
-    top = [0] * u
-    top[0] = 1
-    for i in range(1, u):
-        top[i] = _top_transfer(seq[i], top[i - 1])
-    if _top_transfer(seq[0], top[u - 1]) != top[0]:
+    top = []
+    side = 1  # top bridge right of this region, relative to the one left of region 0
+    plus = minus = False
+    for e in seq.entries:
+        if e.k is INF:
+            c_plus = e.eps is R
+        elif e.eps is R:
+            side = -side
+            c_plus = False
+        else:
+            c_plus = e.k % 2 != 0
+        if c_plus:
+            plus = True
+        else:
+            minus = True
+        top.append(side)
+    if side != 1:
         raise UnrealizableOrientationError(
             f"top-bridge orientations are inconsistent for {seq}")
-    bot = [0] * u
-    for i in range(u):
-        left, right = (i - 1) % u, i
-        for bridge, value in _bot_rules(seq[i], left, right, top):
-            if bot[bridge] == 0:
-                bot[bridge] = value
-            elif bot[bridge] != value:
-                raise UnrealizableOrientationError(
-                    f"bottom-bridge orientations are inconsistent for {seq}")
-    return tuple(top), tuple(bot)
-
-
-def _top_transfer(entry: Entry, left_value: int) -> int:
-    if entry.is_inf:
-        return left_value
-    return left_value if entry.eps is S else -left_value
-
-
-def _bot_rules(entry: Entry, left: int, right: int, top):
-    if entry.is_inf:
-        s = 1 if entry.eps is R else -1
-        return ((left, s * top[left]), (right, s * top[right]))
-    if entry.k % 2 == 0:
-        return ((left, -top[left]), (right, -top[right]))
-    return ((left, top[right]), (right, top[left]))
+    if plus and minus:
+        raise UnrealizableOrientationError(
+            f"bottom-bridge orientations are inconsistent for {seq}")
+    pin = top[0]  # the first top bridge is positive
+    c = pin if plus else -pin
+    return tuple(pin * t for t in top), tuple(c * t for t in top)
 
 
 # ---------------------------------------------------------------------------

@@ -77,29 +77,34 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     - otherwise two or more zeros: 0 (split); exactly one zero: 1 (unknot);
       no zeros, so m copies of 1r: torus_conway(-m, S).
 
-    These rules cover every orientable base word.  On a base word
-    `diagrams.orientation_data` forces bot[j] = c * top[j] on both bridges of
-    each region, with c = +1 for 1s and infr and c = -1 for 1r, 0s, 0r and
-    infs.  Neighbouring regions share a bridge, so c is the same all round the
-    cycle.  The orientable words are therefore exactly (A) every entry in
+    These rules cover every orientable base word.  `diagrams.orientation_data`
+    accepts a word only if bot = c * top with one c all round the cycle (see
+    its docstring); on base entries c = +1 for 1s and infr and c = -1 for 1r,
+    0s, 0r and infs.  The orientable words are therefore exactly (A) every entry in
     {1s, infr}, and (B) every entry in {1r, 0s, 0r, infs} with an even number
     of 1r and 0r (the top-bridge parity).  So the finite entries are all 1s
     (class A) or all in {1r, 0s, 0r} (class B), and in class B with no zeros
     m is even.  The tests and the selftest check the rules against the
     diagram oracle.
     """
-    for e in seq:
-        if not (e.is_inf or e.k in (0, 1)):
+    m = zeros = ones_s = 0  # finite entries, 0s and 0r, 1s
+    for e in seq.entries:
+        k = e.k
+        if k is INF:
+            continue
+        if k == 0:
+            zeros += 1
+        elif k == 1:
+            ones_s += e.eps is S
+        else:
             raise InvalidSequenceError(f"{e} is not a base entry")
+        m += 1
     # Reject unrealizable tag patterns up front (the rules assume a diagram).
     diagrams.orientation_data(seq)
-    finite = [e for e in seq if not e.is_inf]
-    m = len(finite)
     if not m:
         return ZPoly.zero()
-    if all(e.k == 1 and e.eps is S for e in finite):
+    if ones_s == m:
         return torus_conway(-m, R)
-    zeros = sum(1 for e in finite if e.k == 0)
     if zeros >= 2:
         return ZPoly.zero()
     if zeros == 1:
@@ -160,7 +165,7 @@ def twistreduce_conway(seq: EnhancedSequence) -> ZPoly:
 
 def _reduce(entries: tuple[Entry, ...], memo: dict) -> ZPoly:
     target = next(
-        (i for i, e in enumerate(entries) if not (e.is_inf or e.k in (0, 1))),
+        (i for i, e in enumerate(entries) if not (e.k is INF or e.k in (0, 1))),
         None)
     if target is None:
         return base_conway(EnhancedSequence(entries, base=True))

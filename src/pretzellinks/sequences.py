@@ -96,7 +96,7 @@ class EnhancedSequence:
                 raise InvalidSequenceError(f"not an Entry: {e!r}")
             if not isinstance(e.eps, TwistType):
                 raise InvalidSequenceError(f"bad twist type in {e!r}")
-            if e.is_inf or e.k == 0:
+            if e.k is INF or e.k == 0:
                 if not self.base:
                     raise InvalidSequenceError(
                         f"entry {e} is only allowed in internal base sequences")
@@ -267,13 +267,15 @@ def cyc_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
 
 def _entry_sort_key(e: Entry):
     # INF sorts after all integers; S before R.
-    return (1, 0, int(e.eps)) if e.is_inf else (0, e.k, int(e.eps))
+    return (1, 0, int(e.eps)) if e.k is INF else (0, e.k, int(e.eps))
 
 
 def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
     """Lexicographically least word over all rotations and reflections."""
-    return min(dihedral_words(entries),
-               key=lambda word: tuple(_entry_sort_key(e) for e in word))
+    # One sort key per entry; the key is one-to-one, so the least word of
+    # (key, entry) pairs carries the least word of entries.
+    least = min(dihedral_words(tuple((_entry_sort_key(e), e) for e in entries)))
+    return tuple(e for _, e in least)
 
 
 def canonical_key(seq: EnhancedSequence) -> EnhancedSequence:

@@ -71,6 +71,22 @@ def test_invariants_builds_the_diagram_once(monkeypatch):
         assert built.count(s) == 1, str(s)
 
 
+def test_invariants_evaluates_a_knot_determinant_once(monkeypatch):
+    from pretzellinks import diagrams
+    evaluate = diagrams.conway_from_seifert
+    calls = []
+
+    def counting_evaluate(matrix):
+        calls.append(matrix)
+        return evaluate(matrix)
+
+    monkeypatch.setattr(diagrams, "conway_from_seifert", counting_evaluate)
+    rep = invariants(seq((2, S), (3, R), (3, R)))
+    assert rep.mu == 1
+    assert rep.component_conways == (rep.conway,)
+    assert len(calls) == 1
+
+
 def test_invariants_a2_sum_vanishes_for_trivial_components():
     rep = invariants(K2)
     assert all(c == ZPoly.one() for c in rep.component_conways)

@@ -397,6 +397,38 @@ def test_diagram_outputs_golden():
     assert digest.hexdigest() == GOLDEN_DIAGRAM_DIGEST
 
 
+# SHA-256 of orientation_data's result, or its exception type and message,
+# on every base word with u <= 5 (9,330, orientable or not) and every
+# realizable sequence with u <= 4, |k| <= 3 (2,782).
+GOLDEN_ORIENTATION_DIGEST = (
+    "3c207f166b481bdd41e760adddb923fa3f2f88e5faf41838aecedf390c9d1074")
+
+
+def _orientation_inputs():
+    alphabet = [Entry(0, S), Entry(INF, S), Entry(1, S),
+                Entry(INF, R), Entry(1, R), Entry(0, R)]
+    for u in range(1, 6):
+        for combo in itertools.product(alphabet, repeat=u):
+            yield EnhancedSequence(combo, base=True)
+    for ks in all_plain_sequences(4, 3):
+        yield from enumerate_enhancements(ks)
+
+
+def test_orientation_data_golden():
+    """Pins orientation_data's values and error messages byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for s in _orientation_inputs():
+        try:
+            result = orientation_data(s)
+        except UnrealizableOrientationError as exc:
+            result = (type(exc).__name__, str(exc))
+        digest.update(repr((str(s), result)).encode() + b"\n")
+        count += 1
+    assert count == 9330 + 2782
+    assert digest.hexdigest() == GOLDEN_ORIENTATION_DIGEST
+
+
 def test_parity_law_on_oracle_values(small_realizable):
     for s in small_realizable:
         mu = build_diagram(s).ncomponents

@@ -11,10 +11,12 @@ from pretzellinks.sequences import (
     Entry,
     R,
     S,
+    _entry_sort_key,
     canonical_key,
     component_count,
     cyc_equivalent,
     dihedral_canonical,
+    dihedral_words,
     enumerate_enhancements,
     even_subsequence,
     is_erasable,
@@ -166,6 +168,19 @@ def test_dihedral_canonical_is_orbit_invariant(s):
         rot = s.entries[t:] + s.entries[:t]
         assert dihedral_canonical(rot) == base
     assert dihedral_canonical(tuple(reversed(s.entries))) == base
+
+
+def test_dihedral_canonical_is_least_by_definition():
+    # Every word with u <= 4 over k in {-2..2, INF} x {s, r} (22,620 words).
+    alphabet = [Entry(k, eps) for k in (-2, -1, 0, 1, 2, INF) for eps in (S, R)]
+    count = 0
+    for u in range(1, 5):
+        for w in itertools.product(alphabet, repeat=u):
+            least = min(dihedral_words(w),
+                        key=lambda word: tuple(_entry_sort_key(e) for e in word))
+            assert dihedral_canonical(w) == least, w
+            count += 1
+    assert count == 22620
 
 
 # -- erasability ---------------------------------------------------------

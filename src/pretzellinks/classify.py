@@ -138,9 +138,9 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
                            certificate=(str(key_a), surplus_a, match))
 
 
-def _checked_a1a3(seq: EnhancedSequence) -> tuple[int, int]:
+def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
+    """The closed-form (a1, a3) of seq, checked against its polynomial."""
     closed = polynomials.a1a3(seq)
-    nabla = polynomials.twistreduce_conway(seq)
     if closed != (nabla.coefficient(1), nabla.coefficient(3)):
         raise InternalConsistencyError(
             f"closed forms disagree with twist reduction on {seq}")
@@ -150,7 +150,7 @@ def _checked_a1a3(seq: EnhancedSequence) -> tuple[int, int]:
 def _two_component_invariants(seq: EnhancedSequence) -> tuple[int, int]:
     """The complete self-delta invariants of a 2-component link:
     (a1, a3 - a1 * total a2 of the components)."""
-    a1, a3 = _checked_a1a3(seq)
+    a1, a3 = _checked_a1a3(seq, polynomials.twistreduce_conway(seq))
     return a1, a3 - a1 * polynomials.component_a2_total(seq)
 
 
@@ -170,7 +170,7 @@ def self_delta_trivial_2comp(seq: EnhancedSequence) -> bool:
     2-component link (a1 = a3 = 0)."""
     if sequences.component_count(seq.plain()) != 2:
         raise UnsupportedError("triviality test is for 2-component pretzels")
-    return _checked_a1a3(seq) == (0, 0)
+    return _checked_a1a3(seq, polynomials.twistreduce_conway(seq)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +304,22 @@ def enumerate_classes(max_u: int, max_twist: int,
                       components: Optional[int] = None) -> ClassTable:
     """Classify every realizable sequence within the bounds.
 
-    Raises ResourceLimitError (before doing any work) when the bound volume
-    exceeds MAX_ENUMERATION enhanced sequences.
+    Every row of a dihedral orbit (the rotations and reflections of one
+    enhanced word, all isotopic) has the same key and polynomial, so each
+    orbit is analysed once per call, at its first row, and later rows reuse
+    that analysis; nothing is kept between calls.  Every 2-component row is
+    still checked against the closed forms `polynomials.a1a3`.  With
+    `components`, other component counts are skipped before any polynomial
+    work.
+
+    Raises InvalidSequenceError for bounds or `components` below 1, and
+    ResourceLimitError when the bound volume exceeds MAX_ENUMERATION
+    enhanced sequences, both before doing any work.
     """
     if max_u < 1 or max_twist < 1:
         raise InvalidSequenceError("bounds must be positive")
+    if components is not None and components < 1:
+        raise InvalidSequenceError("a link has at least one component")
     volume = sum((2 * max_twist) ** u * 2 ** u for u in range(1, max_u + 1))
     if volume > MAX_ENUMERATION:
         raise ResourceLimitError(
@@ -316,13 +327,18 @@ def enumerate_classes(max_u: int, max_twist: int,
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     rows = []
     classes: dict[str, list[str]] = {}
+    orbits: dict = {}  # dihedral canonical word -> (class key, polynomial)
     for u in range(1, max_u + 1):
         for ks in itertools.product(values, repeat=u):
+            if components is not None and sequences.component_count(ks) != components:
+                continue
             for seq in sequences.enumerate_enhancements(ks):
-                mu, key = class_key(seq)
-                if components is not None and mu != components:
-                    continue
-                nabla = polynomials.twistreduce_conway(seq)
+                orbit = sequences.dihedral_canonical(seq.entries)
+                if orbit not in orbits:
+                    orbits[orbit] = (class_key(seq), polynomials.twistreduce_conway(seq))
+                (mu, key), nabla = orbits[orbit]
+                if mu == 2:
+                    _checked_a1a3(seq, nabla)
                 rows.append(ClassRow(
                     sequence=str(seq), mu=mu, key=key,
                     surplus=sequences.twist_surplus(seq),

@@ -8,6 +8,7 @@ is pure and value-based; diagram semantics live in `diagrams`.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -212,18 +213,21 @@ def is_realizable(seq: EnhancedSequence) -> bool:
 
 
 def enumerate_enhancements(ks: Sequence[int]) -> list[EnhancedSequence]:
-    """All realizable type assignments, in binary-counter order (S before R)."""
+    """All realizable type assignments, in binary-counter order (S before R,
+    the first entry most significant).
+
+    Only realizable words are built, by the rule `is_realizable` tests: with
+    no even entry, all S, plus all R when u is even; otherwise every odd
+    entry is R, the even entries are free and the number of R is even.
+    `itertools.product` over each entry's allowed tags runs in counter order.
+    """
     ks = _check_plain(ks)
-    u = len(ks)
-    out = []
-    for mask in range(1 << u):
-        entries = tuple(
-            Entry(k, R if (mask >> (u - 1 - i)) & 1 else S)
-            for i, k in enumerate(ks))
-        seq = EnhancedSequence(entries)
-        if is_realizable(seq):
-            out.append(seq)
-    return out
+    if all(k % 2 for k in ks):
+        words = [(S,) * len(ks)] + ([(R,) * len(ks)] if len(ks) % 2 == 0 else [])
+    else:
+        allowed = [(S, R) if k % 2 == 0 else (R,) for k in ks]
+        words = [w for w in itertools.product(*allowed) if w.count(R) % 2 == 0]
+    return [EnhancedSequence(tuple(map(Entry, ks, tags))) for tags in words]
 
 
 def even_subsequence(seq: EnhancedSequence) -> EnhancedSequence:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -20,11 +21,18 @@ from pretzellinks.classify import (
     slice_shape,
 )
 from pretzellinks.errors import (
+    InternalConsistencyError,
     InvalidSequenceError,
     ResourceLimitError,
     UnsupportedError,
 )
-from pretzellinks.sequences import EnhancedSequence, R, S, enumerate_enhancements
+from pretzellinks.sequences import (
+    EnhancedSequence,
+    R,
+    S,
+    dihedral_canonical,
+    enumerate_enhancements,
+)
 from pretzellinks.zpoly import ZPoly
 
 A = seq((4, S), (5, R), (6, R), (-2, R), (-3, R))
@@ -257,6 +265,61 @@ def test_enumerate_classes_csv_and_json():
     import json
     data = json.loads(table.to_json())
     assert set(data) == {"rows", "classes"}
+
+
+# SHA-256 of the class-table CSVs, equal to the digests in perfbench/spec.json.
+TABLE_DIGESTS = {
+    (3, 2): "85990a7da52e2e54850175d88174a45ffea254267cf163a65c8c5a73296f296a",
+    (4, 3): "e26f164364dd4ec6340fab1ec7e979ccdf2307aa647da939d234e83aafa37c5f",
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(TABLE_DIGESTS))
+def test_enumerate_classes_csv_digest(bounds):
+    csv_text = enumerate_classes(*bounds).to_csv()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == TABLE_DIGESTS[bounds]
+
+
+def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
+    from pretzellinks import polynomials
+    calls = []
+    reduce = polynomials.twistreduce_conway
+
+    def counting(s):
+        calls.append(s)
+        return reduce(s)
+
+    monkeypatch.setattr(polynomials, "twistreduce_conway", counting)
+    table = enumerate_classes(3, 2)
+    orbits = {dihedral_canonical(EnhancedSequence.parse(r.sequence).entries)
+              for r in table.rows}
+    first = len(calls)
+    assert 0 < first <= 2 * len(orbits) < len(table.rows)
+    # No state survives the call: a second call does the same work again.
+    enumerate_classes(3, 2)
+    assert len(calls) == 2 * first
+
+
+def test_enumerate_classes_checks_every_two_component_row(monkeypatch):
+    # 2s,-2s is a later row of the orbit of -2s,2s: its analysis is reused,
+    # but its closed forms are still checked.
+    from pretzellinks import polynomials
+    closed = polynomials.a1a3
+    monkeypatch.setattr(polynomials, "a1a3", lambda s: (
+        (99, 99) if str(s) == "2s,-2s" else closed(s)))
+    with pytest.raises(InternalConsistencyError, match="2s,-2s"):
+        enumerate_classes(2, 2)
+
+
+def test_enumerate_classes_component_filter():
+    full = enumerate_classes(3, 2)
+    for n in (1, 2, 3):
+        rows = enumerate_classes(3, 2, components=n).rows
+        assert rows and rows == tuple(r for r in full.rows if r.mu == n)
+    assert enumerate_classes(3, 2, components=4).rows == ()
+    for n in (0, -3):
+        with pytest.raises(InvalidSequenceError):
+            enumerate_classes(3, 2, components=n)
 
 
 def test_class_members_share_invariant_keys():

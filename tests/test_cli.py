@@ -91,6 +91,13 @@ def test_enumerate_resource_limit(capsys):
     assert code == 2 and "limit" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_enumerate_rejects_fewer_than_one_component(capsys, n):
+    code, out, err = run(capsys, "enumerate", "--max-u", "2", "--max-twist", "2",
+                         "--components", n)
+    assert code == 2 and out == "" and "component" in err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -72,6 +72,19 @@ def test_enumerate_enhancements_examples():
     assert enumerate_enhancements((2, 3)) == [seq((2, R), (3, R))]
 
 
+def test_enumerate_enhancements_is_the_realizable_filter():
+    # Definition: every tag word in binary-counter order (first entry most
+    # significant, S = 0), kept when is_realizable.
+    values = [k for k in range(-3, 4) if k != 0]
+    for u in range(1, 6):
+        for ks in itertools.product(values, repeat=u):
+            want = [w for w in (
+                EnhancedSequence(tuple(map(Entry, ks, tags)))
+                for tags in itertools.product((S, R), repeat=u))
+                if is_realizable(w)]
+            assert enumerate_enhancements(ks) == want, ks
+
+
 @given(plain_seqs)
 def test_enhancements_are_realizable_with_even_r_count(ks):
     for s in enumerate_enhancements(ks):

@@ -123,8 +123,8 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
     if mu_a == 1:
         return SelfDeltaResult(True, "knot")
     if mu_a == 2:
-        inv_a = _two_component_invariants(a)
-        inv_b = _two_component_invariants(b)
+        inv_a = _two_component_invariants(a, polynomials.twistreduce_conway(a))
+        inv_b = _two_component_invariants(b, polynomials.twistreduce_conway(b))
         return SelfDeltaResult(inv_a == inv_b, "two-component",
                                certificate=(inv_a, inv_b))
     key_a = sequences.canonical_key(sequences.even_subsequence(a))
@@ -147,10 +147,10 @@ def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
     return closed
 
 
-def _two_component_invariants(seq: EnhancedSequence) -> tuple[int, int]:
-    """The complete self-delta invariants of a 2-component link:
-    (a1, a3 - a1 * total a2 of the components)."""
-    a1, a3 = _checked_a1a3(seq, polynomials.twistreduce_conway(seq))
+def _two_component_invariants(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
+    """The complete self-delta invariants of a 2-component link with Conway
+    polynomial nabla: (a1, a3 - a1 * total a2 of the components)."""
+    a1, a3 = _checked_a1a3(seq, nabla)
     return a1, a3 - a1 * polynomials.component_a2_total(seq)
 
 
@@ -284,13 +284,19 @@ class ClassTable:
         }, indent=2)
 
 
-def class_key(seq: EnhancedSequence) -> tuple[int, str]:
-    """(mu, textual class key) for the self-delta class of the sequence."""
+def class_key(seq: EnhancedSequence, nabla: Optional[ZPoly] = None) -> tuple[int, str]:
+    """(mu, textual class key) for the self-delta class of the sequence.
+
+    A 2-component key needs the Conway polynomial: pass it as nabla when it
+    is already known, else it is computed by twist reduction.
+    """
     mu = sequences.component_count(seq.plain())
     if mu == 1:
         return mu, "knot"
     if mu == 2:
-        a1, c3 = _two_component_invariants(seq)
+        if nabla is None:
+            nabla = polynomials.twistreduce_conway(seq)
+        a1, c3 = _two_component_invariants(seq, nabla)
         return mu, f"a1={a1};c3={c3}"
     key = sequences.canonical_key(sequences.even_subsequence(seq))
     return mu, f"even={key};surplus={sequences.twist_surplus(seq)}"
@@ -306,8 +312,9 @@ def enumerate_classes(max_u: int, max_twist: int,
 
     Every row of a dihedral orbit (the rotations and reflections of one
     enhanced word, all isotopic) has the same key and polynomial, so each
-    orbit is analysed once per call, at its first row, and later rows reuse
-    that analysis; nothing is kept between calls.  Every 2-component row is
+    orbit is analysed once per call, at its first row (one twist reduction,
+    shared by the polynomial and the class key), and later rows reuse that
+    analysis; nothing is kept between calls.  Every 2-component row is
     still checked against the closed forms `polynomials.a1a3`.  With
     `components`, other component counts are skipped before any polynomial
     work.
@@ -335,16 +342,18 @@ def enumerate_classes(max_u: int, max_twist: int,
             for seq in sequences.enumerate_enhancements(ks):
                 orbit = sequences.dihedral_canonical(seq.entries)
                 if orbit not in orbits:
-                    orbits[orbit] = (class_key(seq), polynomials.twistreduce_conway(seq))
+                    nabla = polynomials.twistreduce_conway(seq)
+                    orbits[orbit] = (class_key(seq, nabla), nabla)
                 (mu, key), nabla = orbits[orbit]
                 if mu == 2:
                     _checked_a1a3(seq, nabla)
+                text = str(seq)
                 rows.append(ClassRow(
-                    sequence=str(seq), mu=mu, key=key,
+                    sequence=text, mu=mu, key=key,
                     surplus=sequences.twist_surplus(seq),
                     a1=nabla.coefficient(1), a3=nabla.coefficient(3),
                     conway=str(nabla)))
-                classes.setdefault(key, []).append(str(seq))
+                classes.setdefault(key, []).append(text)
     rows.sort(key=lambda r: (r.mu, r.key, r.sequence))
     ordered = tuple(sorted(
         ((k, tuple(sorted(v))) for k, v in classes.items()),

@@ -5,14 +5,23 @@ memoized twist-by-twist recursion.  Both bottom out in `base_conway`, which
 reads the value of a resolved sequence off counts of its finite entries; a
 lemma on base-word orientations (see its docstring) shows the rules cover
 every orientable base word, and they are cross-checked against the diagram
-oracle.  Closed forms for the first two interesting coefficients of
-2-component pretzels are also provided.
+oracle.  Because the value depends only on those counts, the state sum
+groups its 2^u states into count classes with one generating polynomial
+and calls `base_conway` once per class: O(u^2) polynomial products when
+every region is odd s or inf r, O(u) otherwise.  The twist recursion still
+visits up to 2^u partial sequences.  Closed forms for the first two
+interesting coefficients of 2-component pretzels are also provided.
 """
 
 from __future__ import annotations
 
 from . import diagrams
-from .errors import InvalidSequenceError, UnrealizableOrientationError, UnsupportedError
+from .errors import (
+    InternalConsistencyError,
+    InvalidSequenceError,
+    UnrealizableOrientationError,
+    UnsupportedError,
+)
 from .sequences import (
     INF,
     EnhancedSequence,
@@ -116,39 +125,95 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
 # state sum
 
 
-def _resolutions(e: Entry) -> list[tuple[ZPoly, Entry]]:
-    if e.is_inf:
-        return [(ZPoly.one(), e)]
+def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
+    """Region e's resolutions as (marked coefficient, marked entry, other
+    coefficient, other entry).
+
+    The marked resolution is the one `base_conway` counts: 1s for an odd s
+    region (the other is inf r), a zero for any other finite region (the
+    other is inf s or 1r).  An inf region resolves to itself, unmarked.  At
+    most one of the two coefficients is zero.
+    """
     k = e.k
+    if k is INF:
+        return ZPoly.zero(), e, ZPoly.one(), e
     if e.eps is S:
         if k % 2 == 0:
-            p = k // 2
-            return [(ZPoly.one(), Entry(0, S)), (ZPoly((0, -p)), Entry(INF, S))]
-        p = (k - 1) // 2
-        return [(ZPoly.one(), Entry(1, S)), (ZPoly((0, -p)), Entry(INF, R))]
+            return ZPoly.one(), Entry(0, S), ZPoly((0, -(k // 2))), Entry(INF, S)
+        return ZPoly.one(), Entry(1, S), ZPoly((0, -((k - 1) // 2))), Entry(INF, R)
     if k % 2 == 0:
         p = k // 2
-        return [(phi_poly(p), Entry(1, R)), (psi_poly(p - 1), Entry(0, R))]
+        return psi_poly(p - 1), Entry(0, R), phi_poly(p), Entry(1, R)
     p = (k - 1) // 2
-    return [(psi_poly(p), Entry(1, R)), (phi_poly(p), Entry(0, R))]
+    return phi_poly(p), Entry(0, R), psi_poly(p), Entry(1, R)
+
+
+def _state(splits: list, extra: int) -> EnhancedSequence:
+    """The state that takes each region's only resolution where it has one,
+    and the marked resolution in the first `extra` regions that have two."""
+    entries = []
+    for marked, marked_entry, other, other_entry in splits:
+        if not other:
+            entries.append(marked_entry)
+        elif marked and extra > 0:
+            entries.append(marked_entry)
+            extra -= 1
+        else:
+            entries.append(other_entry)
+    return EnhancedSequence(tuple(entries), base=True)
 
 
 def statesum_conway(seq: EnhancedSequence) -> ZPoly:
-    """Conway polynomial as a sum over all per-region resolutions."""
+    """Conway polynomial as a sum over per-region resolutions, grouped by
+    the counts `base_conway` reads.
+
+    The state sum adds, over every choice of one resolution per region, the
+    product of the chosen coefficients times `base_conway` of the resolved
+    word.  By `base_conway`'s lemma every state of a realizable sequence
+    lies in one class.  Class A (every region odd s or inf r) resolves each
+    region to 1s or inf r, and a state's value depends only on its number j
+    of 1s.  Class B resolves each finite region to a zero or to inf s or
+    1r, and a state's value depends only on its number j of zeros: every
+    finite r region that is not a zero is 1r, so a state with no zero has
+    the sequence's number of finite r regions as its m.  Two or more zeros
+    are worth 0.
+
+    Mark each region's counted resolution by t.  The t^j coefficient of
+    prod_i (other_i + marked_i * t) is the summed coefficient of the states
+    with count j, so the sum is sum_j [t^j] * base_conway(one state with
+    count j).  Class A keeps every j: O(u^2) polynomial products.  Class B
+    cuts the product after t^1: O(u) products, and the state for the
+    dropped class is checked to be worth 0.  `base_conway` runs on at most
+    u + 1 real states of the sequence, so the count rule lives only there.
+
+    A resolution keeps whether its region reverses the top bridges and which
+    bottom rule it obeys (c in `diagrams.orientation_data`), so every state
+    is orientable exactly when the sequence is; `_require_realizable`
+    checks that once.
+    """
     _require_realizable(seq)
+    splits = [_split_resolutions(e) for e in seq]
+    class_a = any(e.eps is S and e.k is not INF and e.k % 2 for e in seq)
+    cap = len(seq) if class_a else 1  # largest count kept
+    gen = [ZPoly.one()]  # gen[j]: summed coefficient of the states with count j
+    for marked, _, other, _ in splits:
+        nxt = [g * other for g in gen]
+        if marked:
+            nxt.append(ZPoly.zero())
+            for j, g in enumerate(gen):
+                nxt[j + 1] = nxt[j + 1] + g * marked
+        gen = nxt[:cap + 1]
+    forced = sum(1 for _, _, other, _ in splits if not other)
+    free = sum(1 for marked, _, other, _ in splits if marked and other)
     total = ZPoly.zero()
-    choices = [_resolutions(e) for e in seq]
-    stack = [(0, ZPoly.one(), [])]
-    while stack:
-        i, coeff, picked = stack.pop()
-        if i == len(choices):
-            base = EnhancedSequence(tuple(picked), base=True)
-            total = total + coeff * base_conway(base)
-            continue
-        for gamma, entry in choices[i]:
-            if gamma.is_zero():
-                continue
-            stack.append((i + 1, coeff * gamma, picked + [entry]))
+    for j in range(forced, forced + free + 1):
+        value = base_conway(_state(splits, j - forced))
+        if j > cap:
+            if value:
+                raise InternalConsistencyError(
+                    f"a state of {seq} with {j} zeros is worth {value}, not 0")
+            break
+        total = total + gen[j] * value
     return total
 
 

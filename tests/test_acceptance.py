@@ -15,6 +15,7 @@ import time
 import pytest
 
 from conftest import parity_law_ok, seq
+from statesum_reference import statesum_reference
 from pretzellinks import diagrams
 from pretzellinks.classify import (
     SLICE_SHAPE_2COMP,
@@ -139,6 +140,15 @@ def test_criterion_3_engine_agreement_sweep(engine_sweep):
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 3: PASS ({len(results)} sequences, "
           f"statesum = twistreduce = seifert, {elapsed:.1f}s)")
+
+
+def test_statesum_matches_the_state_walk_on_the_sweep(engine_sweep):
+    # Every state of every criterion-3 sequence, visited one at a time,
+    # against the count-class sum that the sweep recorded.
+    results, _, _ = engine_sweep
+    for s, _, nabla in results:
+        assert statesum_reference(s) == nabla, str(s)
+    print(f"\nstate walk = statesum_conway on {len(results)} sequences")
 
 
 def test_criterion_4_closed_forms(engine_sweep):

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -240,6 +243,62 @@ def test_engines_agree_high_twist_samples():
         a = statesum_conway(s)
         assert a == twistreduce_conway(s) == diagrams.oracle_conway(s), str(s)
         done += 1
+
+
+# SHA-256 of statesum_conway's coefficients, or its exception type and
+# message, on every base word with u <= 5 (9,330, orientable or not).
+GOLDEN_STATESUM_BASE_DIGEST = (
+    "c85291be360d11eaa68c947cb0a5ac5fbf94f625d0d93a92353f5c57c2d428f5")
+
+
+def test_statesum_base_words_golden():
+    """Pins the state sum's values and errors on base words byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for u in range(1, 6):
+        for combo in itertools.product(BASE_ALPHABET, repeat=u):
+            s = EnhancedSequence(combo, base=True)
+            try:
+                result = statesum_conway(s).coeffs
+            except UnrealizableOrientationError as exc:
+                result = (type(exc).__name__, str(exc))
+            digest.update(repr((str(s), result)).encode() + b"\n")
+            count += 1
+    assert count == 9330
+    assert digest.hexdigest() == GOLDEN_STATESUM_BASE_DIGEST
+
+
+@pytest.mark.parametrize("u", [10, 12])
+def test_engines_agree_on_alternating_words(u):
+    s = EnhancedSequence.parse(",".join(["3r", "-2r"] * (u // 2)))
+    assert statesum_conway(s) == twistreduce_conway(s)
+
+
+def test_engines_agree_on_random_wide_sequences():
+    rng = random.Random(509)
+    values = [k for k in range(-7, 8) if k != 0]
+    done = 0
+    while done < 40:
+        ks = tuple(rng.choice(values) for _ in range(rng.randint(5, 9)))
+        enh = enumerate_enhancements(ks)
+        if not enh:
+            continue
+        s = rng.choice(enh)
+        assert statesum_conway(s) == twistreduce_conway(s), str(s)
+        done += 1
+
+
+@pytest.mark.parametrize("word", [
+    ["3s", "-5s"],   # class A: every region odd s
+    ["3r", "-2r"],   # class B
+])
+def test_statesum_is_polynomial_in_u(word):
+    s = EnhancedSequence.parse(",".join(word * 100))
+    t0 = time.perf_counter()
+    nabla = statesum_conway(s)
+    elapsed = time.perf_counter() - t0
+    assert not nabla.is_zero()
+    assert elapsed < 2.0, elapsed
 
 
 # -- twist-pair cancellation identities ---------------------------------------

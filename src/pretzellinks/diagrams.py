@@ -81,17 +81,14 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
 
 @dataclass(frozen=True)
 class Crossing:
-    """One crossing: PD-ordered arc ids, sign, and its place in the pretzel."""
+    """One crossing: PD-ordered arc ids and sign."""
 
-    region: int
-    slot: int
     arcs: tuple[int, int, int, int]  # ccw from the incoming under-strand
     sign: int
 
 
 @dataclass(frozen=True)
 class RegionInfo:
-    entry: Entry
     crossings: int
     sign: Optional[int]          # common crossing sign, None when crossingless
     comp_left: int               # component of the strand entering at top-left
@@ -111,15 +108,21 @@ class Diagram:
     seifert_circles: int
     free_loops: int
 
-    def __len__(self) -> int:
-        return len(self.regions)
-
 
 # Node offsets: a region's block holds its four terminals, then four corners
 # per crossing (crossing j's corner q at _FIRST_CORNER + 4 * j + q).
 _TL, _TR, _BL, _BR = range(4)
 _NW, _NE, _SW, _SE = range(4)
 _FIRST_CORNER = 4
+
+# A crossing's corners counterclockwise from the incoming under-strand, keyed
+# by (under-strand on the NW-SE diagonal, under-strand runs down).
+_PD_ORDER = {
+    (True, True): (_NW, _SW, _SE, _NE),
+    (True, False): (_SE, _NE, _NW, _SW),
+    (False, True): (_NE, _NW, _SW, _SE),
+    (False, False): (_SW, _SE, _NE, _NW),
+}
 
 
 def _classes(n: int, joins) -> list[int]:
@@ -140,27 +143,6 @@ def _classes(n: int, joins) -> list[int]:
     return [labels.setdefault(find(x), len(labels)) for x in range(n)]
 
 
-def _strand_layout(entry: Entry, j: int, a_down: bool, b_down: bool):
-    """Diagonals and direction vectors of the two strands at crossing j.
-
-    Strand A enters the region at top-left, B at top-right; they alternate
-    diagonals down the stack.  Returns (diag_a, vec_a, vec_b) where diag_a is
-    True when A occupies the NW-SE diagonal.
-    """
-    a_on_nwse = (j % 2 == 0)
-    if a_on_nwse:
-        vec_a = (1, -1) if a_down else (-1, 1)
-        vec_b = (-1, -1) if b_down else (1, 1)
-    else:
-        vec_a = (-1, -1) if a_down else (1, 1)
-        vec_b = (1, -1) if b_down else (-1, 1)
-    return a_on_nwse, vec_a, vec_b
-
-
-def _cross2(a, b) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def build_diagram(seq: EnhancedSequence) -> Diagram:
     """Realize the sequence as an explicit oriented crossing-level diagram.
 
@@ -169,6 +151,15 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
     strands.  Arc ids follow crossing order, each crossing's four arcs
     counterclockwise from the incoming under-strand; crossingless loops
     come last.
+
+    Strand A enters a twist region at top-left and strand B at top-right;
+    they swap diagonals at every crossing, A on NW-SE at even j.  The over
+    strand lies on NW-SE when k > 0, so the under-strand at crossing j is A
+    exactly when (k < 0) == (j is even).  Sign rule: every crossing of a
+    region has sign sign(k), negated when the strands are anti-parallel
+    (one runs down, the other up; read from or_top).  PD start corner: the
+    under-strand comes in at the upper end of its diagonal (NW or NE) when
+    it runs down, at the lower end (SE or SW) when it runs up.
     """
     or_top = orientation_data(seq)[0]
     u = len(seq)
@@ -206,8 +197,8 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
         a_down = or_top[(i - 1) % u] == 1
         b_down = or_top[i] == -1
         parallel = (a_down == b_down)
-        over_on_nwse = e.k > 0
-        sign = None
+        under_on_nwse = e.k < 0
+        sign = region_sign[i] = (1 if e.k > 0 else -1) * (1 if parallel else -1)
         for j in range(n):
             first = offsets[i] + _FIRST_CORNER + 4 * j
             corner_arcs = arc_of[first:first + 4]
@@ -216,32 +207,21 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
             side_joins.append((nw, ne))
             seifert_joins += ([(nw, sw), (ne, se)] if parallel
                               else [(nw, ne), (sw, se)])
-
-            a_on_nwse, vec_a, vec_b = _strand_layout(e, j, a_down, b_down)
-            over_vec, under_vec = ((vec_a, vec_b) if a_on_nwse == over_on_nwse
-                                   else (vec_b, vec_a))
-            s = exact_div(_cross2(under_vec, over_vec), 2)
-            if sign is None:
-                sign = s
-            elif sign != s:
-                raise InternalConsistencyError("mixed signs inside a twist region")
-            ccw = _ccw_from(_incoming_corner(not over_on_nwse, under_vec))
-            placed.append((i, j, tuple(corner_arcs[q] for q in ccw), s))
-        region_sign[i] = sign
+            under_down = a_down if under_on_nwse == (j % 2 == 0) else b_down
+            order = _PD_ORDER[under_on_nwse, under_down]
+            placed.append((tuple(corner_arcs[q] for q in order), sign))
 
     narcs = max(arc_of) + 1
     comp_of = _classes(narcs, strand_joins)
     pd_id: dict[int, int] = {}
     crossings = tuple(
-        Crossing(region=i, slot=j,
-                 arcs=tuple(pd_id.setdefault(a, len(pd_id)) for a in arcs),
-                 sign=s)
-        for i, j, arcs, s in placed)
+        Crossing(tuple(pd_id.setdefault(a, len(pd_id)) for a in arcs), sign)
+        for arcs, sign in placed)
     regions = tuple(
-        RegionInfo(e, twists[i], region_sign[i],
+        RegionInfo(twists[i], region_sign[i],
                    comp_of[arc_of[offsets[i] + _TL]],
                    comp_of[arc_of[offsets[i] + _TR]])
-        for i, e in enumerate(seq))
+        for i in range(u))
 
     return Diagram(
         seq=seq, or_top=or_top, regions=regions, crossings=crossings,
@@ -249,18 +229,6 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
         is_split=max(_classes(narcs, strand_joins + side_joins)) > 0,
         seifert_circles=max(_classes(narcs, seifert_joins)) + 1,
         free_loops=narcs - len(pd_id))
-
-
-def _incoming_corner(on_nwse: bool, vec) -> int:
-    if on_nwse:
-        return _NW if vec == (1, -1) else _SE
-    return _NE if vec == (-1, -1) else _SW
-
-
-def _ccw_from(corner: int) -> tuple[int, int, int, int]:
-    cycle = (_NW, _SW, _SE, _NE)
-    i = cycle.index(corner)
-    return cycle[i:] + cycle[:i]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +289,7 @@ def seifert_matrix(diagram: Diagram) -> SeifertMatrix:
     """Seifert matrix for the surface from orientation-respecting smoothing."""
     if diagram.is_split:
         raise SplitDiagramError(f"{diagram.seq} is a split diagram")
-    entries = [info.entry for info in diagram.regions]
+    entries = diagram.seq.entries
     top = diagram.or_top
     u = len(entries)
     opens = [i for i, e in enumerate(entries) if _is_open(e)]
@@ -337,18 +305,10 @@ def seifert_matrix(diagram: Diagram) -> SeifertMatrix:
     return SeifertMatrix(rows)
 
 
-def _twist_sum(e: Entry) -> int:
-    # Total signed half-twists of the band a closed region contributes.
-    return -e.k
-
-
 def _chain_cycles(entries):
     """All regions closed (anti-parallel or infinity): chain between the two
     boundary circles, one cycle per adjacent banded pair."""
     banded = [i for i, e in enumerate(entries) if not e.is_inf]
-    for i in banded:
-        if entries[i].eps is not S:
-            raise InternalConsistencyError("open region escaped classification")
     m = len(banded)
     size = m - 1 if m else 0
     if size <= 0:
@@ -357,7 +317,7 @@ def _chain_cycles(entries):
     if len(parities) != 1:
         raise InternalConsistencyError("mixed parities in an all-closed diagram")
     odd = parities.pop() != 0
-    w = [_twist_sum(entries[i]) for i in banded]
+    w = [-entries[i].k for i in banded]  # signed half-twists of each band
     doubled = [[0] * size for _ in range(size)]
     for q in range(size):
         doubled[q][q] = w[q] + w[q + 1]
@@ -551,27 +511,20 @@ def skein_checks(seq: EnhancedSequence) -> list[tuple[int, bool]]:
     two-term combination of the diagrams with the twist count lowered by two
     and smoothed/lowered by one, all computed by the oracle itself.
     """
-    z = ZPoly.term(1, 1)
     results = []
     nabla = oracle_conway(seq)
     for i, e in enumerate(seq):
         if e.is_inf or e.k == 0:
             continue
+        # Switch one crossing (k -> k - 2d) and smooth it: the skein relation
+        # with the crossing's sign, which is d for r and -d for s regions.
         k, eps = e.k, e.eps
-        if eps is S:
-            smooth = Entry(INF, S if k % 2 == 0 else R)
-            if k > 0:
-                rhs = (oracle_conway(seq.replace(i, Entry(k - 2, S)))
-                       - z * oracle_conway(seq.replace(i, smooth)))
-            else:
-                rhs = (oracle_conway(seq.replace(i, Entry(k + 2, S)))
-                       + z * oracle_conway(seq.replace(i, smooth)))
+        d = 1 if k > 0 else -1
+        if eps is R:
+            sign, smooth = d, Entry(k - d, R)
         else:
-            if k > 0:
-                rhs = (oracle_conway(seq.replace(i, Entry(k - 2, R)))
-                       + z * oracle_conway(seq.replace(i, Entry(k - 1, R))))
-            else:
-                rhs = (oracle_conway(seq.replace(i, Entry(k + 2, R)))
-                       - z * oracle_conway(seq.replace(i, Entry(k + 1, R))))
+            sign, smooth = -d, Entry(INF, S if k % 2 == 0 else R)
+        rhs = (oracle_conway(seq.replace(i, Entry(k - 2 * d, eps)))
+               + ZPoly.term(sign, 1) * oracle_conway(seq.replace(i, smooth)))
         results.append((i, rhs == nabla))
     return results

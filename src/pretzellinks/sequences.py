@@ -121,13 +121,11 @@ class EnhancedSequence:
             raise InvalidSequenceError("plain part undefined with infinite entries")
         return tuple(e.k for e in self.entries)
 
-    def replace(self, i: int, entry: Entry, base: Optional[bool] = None) -> "EnhancedSequence":
+    def replace(self, i: int, entry: Entry) -> "EnhancedSequence":
         new = list(self.entries)
         new[i] = entry
-        flag = self.base if base is None else base
-        if entry.is_inf or entry.k == 0:
-            flag = True
-        return EnhancedSequence(tuple(new), base=flag)
+        base = self.base or entry.is_inf or entry.k == 0
+        return EnhancedSequence(tuple(new), base=base)
 
     @classmethod
     def of(cls, *pairs, base: bool = False) -> "EnhancedSequence":
@@ -193,7 +191,7 @@ def component_count(ks: Sequence[int]) -> int:
     evens = sum(1 for k in ks if k % 2 == 0)
     if evens == 0:
         return 1 if len(ks) % 2 == 1 else 2
-    return max(evens, 1)
+    return evens
 
 
 def is_realizable(seq: EnhancedSequence) -> bool:
@@ -300,19 +298,23 @@ def is_erasable(ks: Sequence[int]) -> Optional[Pairing]:
     ks = tuple(ks)
     if any(k == 0 for k in ks):
         raise InvalidSequenceError("pretzel parameters must be nonzero")
-    if len(ks) % 2 != 0:
+    return _cancelling_pairing([(k, None) for k in ks])
+
+
+def _cancelling_pairing(keys: Sequence[tuple]) -> Optional[Pairing]:
+    """Pair each (k, tag) with the earliest unpaired (-k, tag) before it;
+    None unless every index ends up paired (never for odd length)."""
+    if len(keys) % 2 != 0:
         return None
-    unpaired: dict[int, list[int]] = {}
+    unpaired: dict[tuple, list[int]] = {}
     pairs = []
-    for i, k in enumerate(ks):
-        bucket = unpaired.setdefault(-k, [])
+    for i, (k, tag) in enumerate(keys):
+        bucket = unpaired.get((-k, tag))
         if bucket:
             pairs.append((bucket.pop(0), i))
         else:
-            unpaired.setdefault(k, []).append(i)
-    if any(v for v in unpaired.values()):
-        return None
-    return tuple(pairs)
+            unpaired.setdefault((k, tag), []).append(i)
+    return tuple(pairs) if 2 * len(pairs) == len(keys) else None
 
 
 def pairing_respects_orientation(seq: EnhancedSequence, pairing: Pairing) -> bool:
@@ -335,20 +337,7 @@ def pairing_respects_orientation(seq: EnhancedSequence, pairing: Pairing) -> boo
 
 def orientation_respecting_pairing(seq: EnhancedSequence) -> Optional[Pairing]:
     """A cancelling pairing that also preserves types, if one exists."""
-    ks = [e.k for e in seq]
-    if len(ks) % 2 != 0:
-        return None
-    unpaired: dict[tuple[int, TwistType], list[int]] = {}
-    pairs = []
-    for i, e in enumerate(seq):
-        bucket = unpaired.setdefault((-e.k, e.eps), [])
-        if bucket:
-            pairs.append((bucket.pop(0), i))
-        else:
-            unpaired.setdefault((e.k, e.eps), []).append(i)
-    if any(v for v in unpaired.values()):
-        return None
-    return tuple(pairs)
+    return _cancelling_pairing([(e.k, e.eps) for e in seq])
 
 
 def self_delta_normal_form(seq: EnhancedSequence) -> tuple[EnhancedSequence, int]:

@@ -76,6 +76,16 @@ def test_component_count_matches_diagram():
         assert build_diagram(s).ncomponents == component_count(ks), str(s)
 
 
+def test_crossing_signs_follow_tags():
+    """Each crossing of a region with parameter k has sign sign(k), negated
+    for anti-parallel (s) strands: P(1s,1s) -> -z, P(1r,1r) -> z."""
+    for ks in all_plain_sequences(4, 4):
+        for s in enumerate_enhancements(ks):
+            expected = [(1 if e.k > 0 else -1) * (1 if e.eps is R else -1)
+                        for e in s for _ in range(abs(e.k))]
+            assert [c.sign for c in build_diagram(s).crossings] == expected, str(s)
+
+
 def test_seifert_matrix_size_invariant():
     values = [k for k in range(-3, 4) if k != 0]
     for u in range(1, 4):
@@ -308,18 +318,15 @@ def test_odd_spread_preserves_linking():
 
 
 def test_skein_checks_pass_on_samples():
-    rng = random.Random(41)
-    values = [k for k in range(-4, 5) if k != 0]
-    done = 0
-    while done < 20:
-        u = rng.randint(1, 5)
-        ks = tuple(rng.choice(values) for _ in range(u))
-        enh = enumerate_enhancements(ks)
-        if not enh:
-            continue
-        s = rng.choice(enh)
-        assert all(ok for _, ok in skein_checks(s)), str(s)
-        done += 1
+    """Every region of every realizable word with u <= 3, |k| <= 3: both tags,
+    both signs of k, and the k = +-1, +-2 steps that reach 0 or a smoothing."""
+    regions = 0
+    for ks in all_plain_sequences(3, 3):
+        for s in enumerate_enhancements(ks):
+            checks = skein_checks(s)
+            assert len(checks) == len(s) and all(ok for _, ok in checks), str(s)
+            regions += len(checks)
+    assert regions == 982
 
 
 # -- components -------------------------------------------------------------------

@@ -507,17 +507,16 @@ def component_conway(diagram: Diagram, j: int) -> ZPoly:
 def skein_checks(seq: EnhancedSequence) -> list[tuple[int, bool]]:
     """Verify the twist-recursion skein identities on every twist region.
 
-    For each region the oracle value of the diagram is compared with the
-    two-term combination of the diagrams with the twist count lowered by two
-    and smoothed/lowered by one, all computed by the oracle itself.
+    Conway's skein relation at one crossing of each region, d = sign(k):
+    the diagram's value equals that with k - 2d plus c*z times that of the
+    smoothing (k - d for r, inf for s), where c is the crossing sign, d for
+    r and -d for s.  Every value is computed by the oracle itself.
     """
     results = []
     nabla = oracle_conway(seq)
     for i, e in enumerate(seq):
         if e.is_inf or e.k == 0:
             continue
-        # Switch one crossing (k -> k - 2d) and smooth it: the skein relation
-        # with the crossing's sign, which is d for r and -d for s regions.
         k, eps = e.k, e.eps
         d = 1 if k > 0 else -1
         if eps is R:

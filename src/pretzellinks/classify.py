@@ -56,11 +56,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
     if mu == 2:
-        closed = polynomials.a1a3(seq)
-        if closed != (nabla.coefficient(1), nabla.coefficient(3)):
-            raise InternalConsistencyError(
-                f"closed forms disagree with the oracle on {seq}: "
-                f"{closed} vs {(nabla.coefficient(1), nabla.coefficient(3))}")
+        _checked_a1a3(seq, nabla)
     has_even = any(e.is_even for e in seq)
     key = sequences.canonical_key(sequences.even_subsequence(seq)) if has_even else None
     return InvariantReport(
@@ -141,9 +137,11 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
 def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
     """The closed-form (a1, a3) of seq, checked against its polynomial."""
     closed = polynomials.a1a3(seq)
-    if closed != (nabla.coefficient(1), nabla.coefficient(3)):
+    coefficients = (nabla.coefficient(1), nabla.coefficient(3))
+    if closed != coefficients:
         raise InternalConsistencyError(
-            f"closed forms disagree with twist reduction on {seq}")
+            f"closed forms {closed} disagree with the polynomial's "
+            f"{coefficients} on {seq}")
     return closed
 
 
@@ -184,15 +182,13 @@ def necessary_data(report: InvariantReport) -> tuple[int, int, int]:
 
 def necessary_data_match(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
     """Compare necessary-condition data (not sufficient in general)."""
-    return x[0] == y[0] and x[1] == y[1] and x[2] == y[2]
+    return x == y
 
 
 def self_delta_necessary(a: EnhancedSequence, b: EnhancedSequence) -> bool:
     """Necessary condition for self-delta-equivalence from coefficient data."""
-    ra, rb = invariants(a), invariants(b)
-    if ra.mu != rb.mu:
-        return False
-    return necessary_data_match(necessary_data(ra), necessary_data(rb))
+    return necessary_data_match(necessary_data(invariants(a)),
+                                necessary_data(invariants(b)))
 
 
 # ---------------------------------------------------------------------------

@@ -286,130 +286,98 @@ def _is_open(e: Entry) -> bool:
 
 
 def seifert_matrix(diagram: Diagram) -> SeifertMatrix:
-    """Seifert matrix for the surface from orientation-respecting smoothing."""
+    """Seifert matrix for the surface from orientation-respecting smoothing.
+
+    The basis holds crossings - Seifert circles + 1 cycles; that count and
+    the halving of every doubled entry are checked here.
+    """
     if diagram.is_split:
         raise SplitDiagramError(f"{diagram.seq} is a split diagram")
     entries = diagram.seq.entries
-    top = diagram.or_top
-    u = len(entries)
     opens = [i for i, e in enumerate(entries) if _is_open(e)]
-    if not opens:
-        doubled, size = _chain_cycles(entries)
-    else:
-        doubled, size = _necklace_cycles(entries, top, opens, u)
+    doubled = (_necklace_cycles(entries, diagram.or_top, opens) if opens
+               else _chain_cycles(entries))
     rows = tuple(tuple(exact_div(v, 2) for v in row) for row in doubled)
     expected = len(diagram.crossings) - diagram.seifert_circles + 1
-    if size != expected:
+    if len(rows) != expected:
         raise InternalConsistencyError(
-            f"basis size {size} != crossings - circles + 1 = {expected}")
+            f"basis size {len(rows)} != crossings - circles + 1 = {expected}")
     return SeifertMatrix(rows)
 
 
 def _chain_cycles(entries):
     """All regions closed (anti-parallel or infinity): chain between the two
-    boundary circles, one cycle per adjacent banded pair."""
-    banded = [i for i, e in enumerate(entries) if not e.is_inf]
-    m = len(banded)
-    size = m - 1 if m else 0
-    if size <= 0:
-        return [], 0
-    parities = {entries[i].k % 2 for i in banded}
-    if len(parities) != 1:
-        raise InternalConsistencyError("mixed parities in an all-closed diagram")
-    odd = parities.pop() != 0
-    w = [-entries[i].k for i in banded]  # signed half-twists of each band
+    boundary circles, one cycle per adjacent banded pair.
+
+    Every banded region here is a finite s region with k != 0, since k = 0
+    and finite r regions are open.  orientation_data gives odd s regions
+    c = +1 and even ones c = -1 and allows one c per word, so all bands
+    share one parity: neighbouring cycles couple skew-symmetrically by one
+    exactly when it is odd.
+    """
+    w = [-e.k for e in entries if not e.is_inf]  # signed half-twists of each band
+    size = max(len(w) - 1, 0)
     doubled = [[0] * size for _ in range(size)]
     for q in range(size):
         doubled[q][q] = w[q] + w[q + 1]
     for q in range(size - 1):
         shared = w[q + 1]
-        if odd:
-            doubled[q][q + 1] = -shared + 1
-            doubled[q + 1][q] = -shared - 1
-        else:
-            doubled[q][q + 1] = -shared
-            doubled[q + 1][q] = -shared
-    return doubled, size
+        doubled[q][q + 1] = -shared + shared % 2
+        doubled[q + 1][q] = -shared - shared % 2
+    return doubled
 
 
-def _necklace_cycles(entries, top, opens, u):
+def _necklace_cycles(entries, top, opens):
     """Open regions present: ring of necklace disks, parallel bands between
-    consecutive disks, one cable band per closed region."""
-    c = len(opens)
+    consecutive disks, one cable band per closed region.
 
-    def gap_of(region: int) -> int:
-        a = bisect_right(opens, region) - 1
-        return a % c
-
-    # Constant top-bridge orientation across each gap; the last gap is drawn
-    # around the outside, which flips its disk normal.
-    normals = []
-    for a, ro in enumerate(opens):
-        g = top[ro]
-        last_bridge = (opens[(a + 1) % c] - 1) % u
-        if top[last_bridge] != g:
-            raise InternalConsistencyError("gap orientation not constant")
-        normals.append(g if a == c - 1 else -g)
-
-    closed = []
-    for r, e in enumerate(entries):
-        if r in opens or e.is_inf:
-            continue
-        if e.eps is not S or e.k % 2 != 0 or e.k == 0:
-            raise InternalConsistencyError(
-                f"unexpected closed region {e} in a necklace diagram")
-        closed.append(r)
-
-    bands = {ro: abs(entries[ro].k) for ro in opens}
-    signs = {ro: (1 if entries[ro].k > 0 else -1) if bands[ro] else None
-             for ro in opens}
-    ring = all(n >= 1 for n in bands.values())
-    if ring and c % 2 != 0:
-        raise InternalConsistencyError("ring cycle with an odd disk count")
-
-    index = {}
-    for a, ro in enumerate(opens):
-        for j in range(bands[ro] - 1):
-            index[("pair", a, j)] = len(index)
-    for r in closed:
-        index[("cable", r)] = len(index)
-    if ring:
-        index[("ring",)] = len(index)
-    size = len(index)
+    Basis order: the |k| - 1 pair cycles of each open region, one cable per
+    closed finite region, and last the ring, present when every open region
+    has crossings.  By orientation_data's rule, which gives every open
+    region (finite r, or 0s) c = -1 and odd s regions c = +1:
+    - every closed finite region is an even s region (it is s with k != 0);
+    - the top orientation is constant across each gap between open regions,
+      since only finite r regions reverse it and they are all open;
+    - a ring crosses an even number of disks: every open region is then
+      finite r, and the top bridges close up after an even number of flips.
+    """
+    # Disk a's normal follows the gap after it; the last gap is drawn around
+    # the outside, which flips its normal.
+    normals = [-top[ro] for ro in opens]
+    normals[-1] = -normals[-1]
+    closed = [r for r, e in enumerate(entries) if not (e.is_inf or _is_open(e))]
+    ring = all(entries[ro].k != 0 for ro in opens)
+    size = (sum(max(abs(entries[ro].k) - 1, 0) for ro in opens)
+            + len(closed) + ring)
     doubled = [[0] * size for _ in range(size)]
-    if size == 0:
-        return doubled, 0
-
+    g = size - 1  # the ring cycle, when there is one
+    p = 0  # the next cycle to number
     for a, ro in enumerate(opens):
-        sigma = signs[ro]
-        n_left = normals[(a - 1) % c]
-        for j in range(bands[ro] - 1):
-            p = index[("pair", a, j)]
-            doubled[p][p] = 2 * sigma
-            if j + 1 < bands[ro] - 1:
-                q = index[("pair", a, j + 1)]
-                doubled[p][q] = -sigma + n_left
-                doubled[q][p] = -sigma - n_left
-        if ring and bands[ro] >= 2:
-            g = index[("ring",)]
-            p = index[("pair", a, 0)]
+        k = entries[ro].k
+        sigma = 1 if k > 0 else -1
+        n_left = normals[a - 1]
+        pairs = range(p, p + abs(k) - 1)
+        for q in pairs:
+            doubled[q][q] = 2 * sigma
+        for q in pairs[:-1]:
+            doubled[q][q + 1] = -sigma + n_left
+            doubled[q + 1][q] = -sigma - n_left
+        if ring and pairs:
             doubled[g][p] = sigma + normals[a]
             doubled[p][g] = sigma - normals[a]
+        p += len(pairs)
 
     for r in closed:
-        lam = index[("cable", r)]
-        doubled[lam][lam] = -entries[r].k
+        doubled[p][p] = -entries[r].k
         if ring:
-            g = index[("ring",)]
-            n_d = normals[gap_of(r)]
-            doubled[g][lam] = -n_d - 1
-            doubled[lam][g] = n_d - 1
+            n_d = normals[bisect_right(opens, r) - 1]
+            doubled[g][p] = -n_d - 1
+            doubled[p][g] = n_d - 1
+        p += 1
 
     if ring:
-        g = index[("ring",)]
-        doubled[g][g] = sum(signs[ro] for ro in opens)
-
-    return doubled, size
+        doubled[g][g] = sum(1 if entries[ro].k > 0 else -1 for ro in opens)
+    return doubled
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +437,14 @@ def _conway_of(diagram: Diagram) -> ZPoly:
 def component_conway(diagram: Diagram, j: int) -> ZPoly:
     """Conway polynomial of component j (1-based) after deleting the others.
 
-    Deleting the other components leaves the run of regions fully owned by
-    component j, side-closed; that is again a pretzel diagram with one
-    crossingless region appended.
+    j's self-crossings lie in the regions it owns (both strands on j).  A
+    vertical region (k = 0 or even) joins the top and bottom bridge on each
+    side; any other region carries one bridge pair's strands to the next.
+    So with two or more vertical regions each component owns the regions
+    strictly between two neighbouring ones, a contiguous run, and
+    side-closing it gives a pretzel diagram with one crossingless region
+    appended.  One vertical region leaves one component; with none and
+    mu = 2, j owns only infinity regions, keeps no crossing and is an unknot.
     """
     seq = diagram.seq
     mu = diagram.ncomponents
@@ -481,23 +454,15 @@ def component_conway(diagram: Diagram, j: int) -> ZPoly:
         return _conway_of(diagram)
     comp = j - 1
     u = len(seq)
-    owned = [i for i, info in enumerate(diagram.regions)
-             if info.comp_left == comp and info.comp_right == comp]
-    if not owned:
+    owned = {i for i, info in enumerate(diagram.regions)
+             if info.comp_left == comp == info.comp_right}
+    if not any(diagram.regions[i].crossings for i in owned):
         return ZPoly.one()
-    owned_set = set(owned)
-    start = next(i for i in range(u) if i not in owned_set)
-    run = [i for off in range(1, u + 1)
-           for i in [(start + off) % u] if i in owned_set]
-    gaps = sum(1 for a, b in zip(run, run[1:]) if (a + 1) % u != b)
-    if gaps:
-        raise InternalConsistencyError(
-            f"component {j} of {seq} owns a non-contiguous run")
-    run_entries = [seq[i] for i in run]
-    flips = sum(1 for e in run_entries if e.eps is R)
+    start = next(i for i in range(u) if i not in owned)  # a vertical region
+    run = [seq[i] for i in ((start + off) % u for off in range(1, u)) if i in owned]
+    flips = sum(1 for e in run if e.eps is R)
     closer = Entry(0, R if flips % 2 else S)
-    reduced = EnhancedSequence(tuple(run_entries) + (closer,), base=True)
-    return oracle_conway(reduced)
+    return oracle_conway(EnhancedSequence(tuple(run) + (closer,), base=True))
 
 
 # ---------------------------------------------------------------------------

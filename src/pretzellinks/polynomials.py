@@ -363,8 +363,6 @@ def a1a3_even_from_sequence(seq: EnhancedSequence) -> tuple[int, int]:
         raise InvalidSequenceError("expected exactly two even parameters")
     m = sum(e.k for e in seq if e.is_odd)
     first, second = evens
-    if first.eps is R and second.eps is S:
-        first, second = second, first
     a1, a3 = a1a3_even(first.k // 2, second.k // 2, first.eps, second.eps, m)
     return a1, a3 + a1 * component_a2_total(seq)
 

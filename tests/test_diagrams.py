@@ -202,6 +202,71 @@ def test_crossingless_unknot_matrix_is_empty():
     assert conway_from_seifert(v) == ZPoly.one()
 
 
+def _seifert_inputs():
+    """Every realizable word with u <= 4, |k| <= 4 (11,752) and every base
+    word with u <= 3 over k in {0, +-1, +-2, inf} x {s, r} (1,884)."""
+    for ks in all_plain_sequences(4, 4):
+        yield from enumerate_enhancements(ks)
+    alphabet = [Entry(k, eps) for k in (0, 1, -1, 2, -2, INF) for eps in (S, R)]
+    for u in range(1, 4):
+        for combo in itertools.product(alphabet, repeat=u):
+            yield EnhancedSequence(combo, base=True)
+
+
+# SHA-256 of seifert_matrix(build_diagram(s)).rows, or the exception type and
+# message, over _seifert_inputs(): 12,146 matrices (752 chain bases, 11,232
+# with a ring cycle, 162 necklaces without one), 54 split diagrams and 1,436
+# unorientable base words.
+GOLDEN_SEIFERT_DIGEST = (
+    "c8ff5555248c59d015b1da1edaa864363d264ea89c3a32394b854920677bb193")
+
+
+def test_seifert_matrix_golden():
+    """Pins every Seifert matrix, and the errors, byte for byte."""
+    digest = hashlib.sha256()
+    count = 0
+    for s in _seifert_inputs():
+        try:
+            result = seifert_matrix(build_diagram(s)).rows
+        except (SplitDiagramError, UnrealizableOrientationError) as exc:
+            result = (type(exc).__name__, str(exc))
+        digest.update(repr((str(s), result)).encode() + b"\n")
+        count += 1
+    assert count == 13636
+    assert digest.hexdigest() == GOLDEN_SEIFERT_DIGEST
+
+
+def test_seifert_basis_layout_follows_orientation_rule():
+    """The facts _chain_cycles and _necklace_cycles build on, on every word
+    of _seifert_inputs() that orientation_data accepts.  A region is open
+    when it is finite and r, or has k = 0."""
+    cases = {"chain": 0, "ring": 0, "no ring": 0}
+    for s in _seifert_inputs():
+        try:
+            top, _ = orientation_data(s)
+        except UnrealizableOrientationError:
+            continue
+        entries = s.entries
+        is_open = [not e.is_inf and (e.eps is R or e.k == 0) for e in entries]
+        finite_closed = [e for e, o in zip(entries, is_open) if not (o or e.is_inf)]
+        if not any(is_open):
+            # All bands of a chain share one parity.
+            assert len({e.k % 2 for e in finite_closed}) <= 1, str(s)
+            cases["chain"] += 1
+            continue
+        # Every closed finite region of a necklace is an even s region.
+        assert all(e.eps is S and e.k % 2 == 0 for e in finite_closed), str(s)
+        # Only open regions reverse the top orientation, so it is constant
+        # across each gap between open regions.
+        for i, o in enumerate(is_open):
+            assert o or top[i] == top[i - 1], str(s)
+        # A ring crosses an even number of disks.
+        ring = all(e.k != 0 for e, o in zip(entries, is_open) if o)
+        assert not ring or sum(is_open) % 2 == 0, str(s)
+        cases["ring" if ring else "no ring"] += 1
+    assert cases == {"chain": 758, "ring": 11232, "no ring": 210}
+
+
 # -- oracle fixtures -----------------------------------------------------------
 
 
@@ -349,6 +414,33 @@ def test_component_conway_values():
     assert component_conway(build_diagram(knot), 1) == twistreduce_conway(knot)
     with pytest.raises(InvalidSequenceError):
         component_conway(k1, 3)
+    # With no k = 0 or even region a component owns only infinity regions,
+    # keeps no crossing and is an unknot, even when those regions are apart.
+    for text in ("infr,1s,1s,infr,1s,1s", "1s,1s,infr", "infs"):
+        d = build_diagram(EnhancedSequence.parse(text, base=True))
+        assert [component_conway(d, j) for j in (1, 2)] == [ZPoly.one()] * 2
+
+
+def test_component_owns_one_run():
+    """A component owns the regions strictly between two neighbouring
+    vertical regions (k = 0 or even), one cyclic run; with no vertical
+    region it owns at most crossingless infinity regions."""
+    for s in _seifert_inputs():
+        try:
+            d = build_diagram(s)
+        except UnrealizableOrientationError:
+            continue
+        if d.ncomponents == 1:
+            continue
+        u = len(s)
+        vertical = any(not e.is_inf and e.k % 2 == 0 for e in s)
+        for comp in range(d.ncomponents):
+            owned = [r.comp_left == comp == r.comp_right for r in d.regions]
+            if not vertical:
+                assert all(s[i].is_inf for i in range(u) if owned[i]), str(s)
+                continue
+            starts = sum(1 for i in range(u) if owned[i] and not owned[i - 1])
+            assert starts <= 1, (str(s), comp)
 
 
 # -- PD export ---------------------------------------------------------------------

@@ -71,23 +71,20 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
 # delta-equivalence
 
 
-def _dihedral_variants(seq: EnhancedSequence):
-    words = set(sequences.dihedral_words(seq.entries))
-    return [EnhancedSequence(w, base=seq.base) for w in sorted(words, key=str)]
-
-
 def delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
-    """Same component count and matching linking numbers under some
-    cyclic/reflected component correspondence."""
-    da = diagrams.build_diagram(a)
-    db = diagrams.build_diagram(b)
-    if da.ncomponents != db.ncomponents:
-        return False
-    if da.ncomponents == 1:
-        return True
-    lk_a = diagrams.linking_matrix(da)
-    return any(diagrams.linking_matrix(diagrams.build_diagram(v)) == lk_a
-               for v in _dihedral_variants(b))
+    """Same component count, and linking matrices equal up to a rotation or
+    reflection of the component cycle (Murakami-Nakanishi 1989).
+
+    `build_diagram` numbers components by the first region they touch; in a
+    user word with mu >= 3 each owns one run between neighbouring vertical
+    regions, so the numbering goes round the cycle, and b's rotations and
+    reflections have exactly b's matrix under the 2 mu dihedral relabellings
+    of range(mu): none is built.  With mu <= 2 every relabelling fixes it.
+    """
+    lk_a, lk_b = (diagrams.linking_matrix(diagrams.build_diagram(s)) for s in (a, b))
+    return len(lk_a) == len(lk_b) and any(
+        lk_a == tuple(tuple(lk_b[i][j] for j in p) for i in p)
+        for p in sequences.dihedral_words(tuple(range(len(lk_a)))))
 
 
 # ---------------------------------------------------------------------------

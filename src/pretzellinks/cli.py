@@ -130,8 +130,11 @@ def _cmd_enumerate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PretzelInputError(f"cannot write {args.out}: {exc.strerror}") from exc
     if not args.json:
         print(f"{len(table.rows)} sequences in {len(table.classes)} classes",
               file=sys.stderr)

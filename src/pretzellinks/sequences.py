@@ -74,7 +74,7 @@ class Entry(NamedTuple):
         return f"{'inf' if self.is_inf else self.k}{self.eps}"
 
 
-_ENTRY_RE = re.compile(r"^\s*(?P<k>[+-]?\d+|inf)\s*(?P<eps>[srSR])?\s*$")
+_ENTRY_RE = re.compile(r"^\s*(?P<k>[+-]?\d+|inf)\s*(?P<eps>[srSR])?\s*$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,11 @@ class EnhancedSequence:
                 raise InvalidSequenceError(f"not an Entry: {e!r}")
             if not isinstance(e.eps, TwistType):
                 raise InvalidSequenceError(f"bad twist type in {e!r}")
-            if e.k is INF or e.k == 0:
-                if not self.base:
-                    raise InvalidSequenceError(
-                        f"entry {e} is only allowed in internal base sequences")
-            elif not isinstance(e.k, int):
+            if type(e.k) is not int and e.k is not INF:  # so a bool is rejected
                 raise InvalidSequenceError(f"non-integer parameter in {e!r}")
+            if (e.k is INF or e.k == 0) and not self.base:
+                raise InvalidSequenceError(
+                    f"entry {e} is only allowed in internal base sequences")
 
     def __len__(self) -> int:
         return len(self.entries)

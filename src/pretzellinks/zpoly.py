@@ -169,7 +169,7 @@ class ZPoly:
         return cls(out)
 
     _TERM_RE = re.compile(
-        r"^\s*(?P<coeff>[+-]?\d*)\s*(?P<z>z(\^(?P<exp>\d+))?)?\s*$")
+        r"^\s*(?P<coeff>[+-]?\d*)\s*(?P<z>z(\^(?P<exp>\d+))?)?\s*$", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "ZPoly":

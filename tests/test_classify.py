@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from conftest import seq
+from conftest import all_plain_sequences, seq
+from pretzellinks import diagrams
 from pretzellinks.classify import (
     KNOT_UNDETERMINED,
     NOT_SLICE_SHAPE,
@@ -20,6 +22,7 @@ from pretzellinks.classify import (
     self_delta_trivial_2comp,
     slice_shape,
 )
+from pretzellinks.diagrams import linking_matrix
 from pretzellinks.errors import (
     InternalConsistencyError,
     InvalidSequenceError,
@@ -31,6 +34,7 @@ from pretzellinks.sequences import (
     R,
     S,
     dihedral_canonical,
+    dihedral_words,
     enumerate_enhancements,
 )
 from pretzellinks.zpoly import ZPoly
@@ -64,7 +68,6 @@ def test_invariants_report_fields():
 
 
 def test_invariants_builds_the_diagram_once(monkeypatch):
-    from pretzellinks import diagrams
     build = diagrams.build_diagram
     built = []
 
@@ -80,7 +83,6 @@ def test_invariants_builds_the_diagram_once(monkeypatch):
 
 
 def test_invariants_evaluates_a_knot_determinant_once(monkeypatch):
-    from pretzellinks import diagrams
     evaluate = diagrams.conway_from_seifert
     calls = []
 
@@ -117,6 +119,87 @@ def test_delta_needs_matching_linking_pattern():
     # dihedral correspondence is allowed
     assert delta_equivalent(seq((2, S), (4, S), (2, S)),
                             seq((4, S), (2, S), (2, S)))
+    # three distinct linking numbers: only a reflection matches the reverse
+    assert delta_equivalent(seq((2, S), (4, S), (6, S)),
+                            seq((6, S), (4, S), (2, S)))
+
+
+def test_delta_equivalent_builds_each_diagram_once(monkeypatch):
+    build = diagrams.build_diagram
+    built = []
+
+    def counting_build(s):
+        built.append(s)
+        return build(s)
+
+    monkeypatch.setattr(diagrams, "build_diagram", counting_build)
+    pairs = [(A, seq((-3, R), (-2, R), (6, R), (5, R), (4, S))),
+             (seq((1, S), (1, S)), seq((1, S), (1, S), (1, S), (1, S))),
+             (seq((3, S),), seq((1, S), (1, S), (1, S))),
+             (seq((2, S), (4, S), (2, S)), seq((4, S), (2, S), (2, S)))]
+    for a, b in pairs:
+        built.clear()
+        delta_equivalent(a, b)
+        assert built == [a, b]
+
+
+_LINKING: dict = {}
+
+
+def _linking(entries):
+    """Linking matrix of the diagram of a user word, built once per word."""
+    if entries not in _LINKING:
+        diagram = diagrams.build_diagram(EnhancedSequence(entries))
+        _LINKING[entries] = linking_matrix(diagram)
+    return _LINKING[entries]
+
+
+def _variant_matrices(b):
+    """Linking matrices of b's rebuilt rotations and reflections."""
+    return {_linking(w) for w in dihedral_words(b.entries)}
+
+
+def _reference_delta_equivalent(a, b):
+    """The rebuild-every-variant decider: same component count, and a's
+    linking matrix among those of b's rebuilt dihedral variants."""
+    lk_a = _linking(a.entries)
+    return len(lk_a) == len(_linking(b.entries)) and lk_a in _variant_matrices(b)
+
+
+def test_variant_linking_matrices_are_dihedral_relabellings():
+    # b's rotations and reflections have exactly the linking matrices of b
+    # relabelled by the 2 mu rotations and reflections of range(mu).
+    words = [s for ks in all_plain_sequences(4, 3) for s in enumerate_enhancements(ks)]
+    words += [s for ks in itertools.product((-2, -1, 1, 2), repeat=5)
+              for s in enumerate_enhancements(ks)]
+    mus = set()
+    for b in words:
+        lk = _linking(b.entries)
+        mus.add(len(lk))
+        relabelled = {tuple(tuple(lk[i][j] for j in p) for i in p)
+                      for p in dihedral_words(tuple(range(len(lk))))}
+        assert _variant_matrices(b) == relabelled, b
+    assert mus == {1, 2, 3, 4, 5}
+
+
+def test_delta_equivalent_matches_rebuild_reference(small_realizable):
+    by_u: dict[int, list] = {}
+    for s in small_realizable:
+        by_u.setdefault(len(s), []).append(s)
+    pairs = [(a, b) for group in by_u.values() for a in group for b in group]
+    # Seeded u = 4 pairs: random pairs, and words against a random rotation
+    # or reflection of themselves; |k| = 4 gives distinct linking numbers
+    # on one component cycle, so some matches need a reflection.
+    u4 = [s for ks in itertools.product((-4, -2, -1, 1, 2, 4), repeat=4)
+          for s in enumerate_enhancements(ks)]
+    rng = random.Random(10)
+    for _ in range(300):
+        a = rng.choice(u4)
+        variant = EnhancedSequence(rng.choice(list(dihedral_words(a.entries))))
+        pairs += [(a, rng.choice(u4)), (a, variant)]
+    verdicts = [delta_equivalent(a, b) for a, b in pairs]
+    assert verdicts == [_reference_delta_equivalent(a, b) for a, b in pairs]
+    assert 0 < sum(verdicts) < len(pairs)
 
 
 # -- self-delta equivalence -------------------------------------------------------

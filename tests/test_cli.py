@@ -36,6 +36,7 @@ def test_conway_rejects_garbage(capsys):
     assert run(capsys, "conway", "2x,3y")[0] == 2
     assert run(capsys, "conway", "0s,1r")[0] == 2
     assert run(capsys, "conway", "1s,,1s")[0] == 2
+    assert run(capsys, "conway", "\uff13s,\uff13s")[0] == 2
 
 
 def test_equiv_fixture(capsys):
@@ -83,6 +84,15 @@ def test_enumerate_to_file(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "sequence,mu,key,surplus,a1,a3,conway"
     assert len(lines) > 10
+
+
+@pytest.mark.parametrize("where", ["missing/classes.csv", "."])
+def test_enumerate_reports_unwritable_out(tmp_path, capsys, where):
+    out_path = tmp_path / where
+    code, out, err = run(capsys, "enumerate", "--max-u", "2", "--max-twist", "2",
+                         "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_enumerate_resource_limit(capsys):

@@ -289,6 +289,12 @@ def test_parse_grammar():
     for text in ("1,,1", "1,", ",1", "P(4,,5)"):
         with pytest.raises(ParseError):
             parse_plain(text)
+    # Only ASCII digits: full-width and Arabic-Indic 3 are not numbers here.
+    for text in ("\uff13s,\uff13s", "\u0663s"):
+        with pytest.raises(ParseError):
+            EnhancedSequence.parse(text)
+    with pytest.raises(ParseError):
+        parse_plain("\uff13,\uff13")
 
 
 def test_user_level_entries_validated():
@@ -296,4 +302,9 @@ def test_user_level_entries_validated():
         EnhancedSequence.of((0, S), (2, R))
     with pytest.raises(InvalidSequenceError):
         EnhancedSequence.of((INF, S))
+    for flag in (True, False):
+        with pytest.raises(InvalidSequenceError):
+            EnhancedSequence.of((flag, S))
+        with pytest.raises(InvalidSequenceError):
+            EnhancedSequence.of((flag, S), base=True)
     EnhancedSequence.of((0, S), (2, R), base=True)  # internal builds allowed

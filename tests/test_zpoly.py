@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pretzellinks.errors import InternalConsistencyError
+from pretzellinks.errors import InternalConsistencyError, ParseError
 from pretzellinks.zpoly import LaurentZ, ZPoly, binomial, coefficient, exact_div
 
 small_poly = st.builds(ZPoly, st.lists(st.integers(-9, 9), max_size=8))
@@ -49,6 +49,9 @@ def test_str_and_parse_round_trip():
     ]
     for f in cases:
         assert ZPoly.parse(str(f)) == f
+    for text in ("\uff13z", "z^\uff13", "\u0663 + z"):
+        with pytest.raises(ParseError):
+            ZPoly.parse(text)
 
 
 def test_text_form_matches_convention():

@@ -281,14 +281,14 @@ def class_key(seq: EnhancedSequence, nabla: Optional[ZPoly] = None) -> tuple[int
     """(mu, textual class key) for the self-delta class of the sequence.
 
     A 2-component key needs the Conway polynomial: pass it as nabla when it
-    is already known, else it is computed by twist reduction.
+    is already known, else it is computed by the state sum.
     """
     mu = sequences.component_count(seq.plain())
     if mu == 1:
         return mu, "knot"
     if mu == 2:
         if nabla is None:
-            nabla = polynomials.twistreduce_conway(seq)
+            nabla = polynomials.statesum_conway(seq)
         a1, c3 = _two_component_invariants(seq, nabla)
         return mu, f"a1={a1};c3={c3}"
     key = sequences.canonical_key(sequences.even_subsequence(seq))
@@ -303,14 +303,18 @@ def enumerate_classes(max_u: int, max_twist: int,
                       components: Optional[int] = None) -> ClassTable:
     """Classify every realizable sequence within the bounds.
 
-    Every row of a dihedral orbit (the rotations and reflections of one
-    enhanced word, all isotopic) has the same key and polynomial, so each
-    orbit is analysed once per call, at its first row (one twist reduction,
-    shared by the polynomial and the class key), and later rows reuse that
-    analysis; nothing is kept between calls.  Every 2-component row is
-    still checked against the closed forms `polynomials.a1a3`.  With
-    `components`, other component counts are skipped before any polynomial
-    work.
+    The rows of one dihedral orbit (the rotations and reflections of one
+    enhanced word) agree on every field but their sequence text: mu, the
+    polynomial and so a1 and a3, and the class key are link invariants and
+    the words are isotopic, and the twist surplus is a sum over the
+    multiset of entries, which a rotation or reflection keeps.  So each
+    orbit is analysed once per call, at its first row, whose polynomial
+    comes from the state sum (polynomial in u), and its row template is
+    reused by the later rows; nothing is kept between calls.  Every
+    2-component row is still checked against the closed forms
+    `polynomials.a1a3`: the first inside `class_key`, the later ones here.
+    With `components`, other component counts are skipped before any
+    polynomial work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
     ResourceLimitError when the bound volume exceeds MAX_ENUMERATION
@@ -327,26 +331,25 @@ def enumerate_classes(max_u: int, max_twist: int,
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     rows = []
     classes: dict[str, list[str]] = {}
-    orbits: dict = {}  # dihedral canonical word -> (class key, polynomial)
+    # dihedral canonical word -> (mu, key, surplus, a1, a3, conway text, polynomial)
+    orbits: dict = {}
     for u in range(1, max_u + 1):
         for ks in itertools.product(values, repeat=u):
             if components is not None and sequences.component_count(ks) != components:
                 continue
             for seq in sequences.enumerate_enhancements(ks):
                 orbit = sequences.dihedral_canonical(seq.entries)
-                if orbit not in orbits:
-                    nabla = polynomials.twistreduce_conway(seq)
-                    orbits[orbit] = (class_key(seq, nabla), nabla)
-                (mu, key), nabla = orbits[orbit]
-                if mu == 2:
-                    _checked_a1a3(seq, nabla)
+                template = orbits.get(orbit)
+                if template is None:
+                    nabla = polynomials.statesum_conway(seq)
+                    template = orbits[orbit] = (
+                        *class_key(seq, nabla), sequences.twist_surplus(seq),
+                        nabla.coefficient(1), nabla.coefficient(3), str(nabla), nabla)
+                elif template[0] == 2:
+                    _checked_a1a3(seq, template[-1])
                 text = str(seq)
-                rows.append(ClassRow(
-                    sequence=text, mu=mu, key=key,
-                    surplus=sequences.twist_surplus(seq),
-                    a1=nabla.coefficient(1), a3=nabla.coefficient(3),
-                    conway=str(nabla)))
-                classes.setdefault(key, []).append(text)
+                rows.append(ClassRow(text, *template[:6]))
+                classes.setdefault(template[1], []).append(text)
     rows.sort(key=lambda r: (r.mu, r.key, r.sequence))
     ordered = tuple(sorted(
         ((k, tuple(sorted(v))) for k, v in classes.items()),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from typing import Optional
 
@@ -238,6 +239,14 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _ascii_int(text: str) -> int:
+    """An integer option: an optional sign and ASCII digits only (int()
+    alone also takes every other Unicode decimal digit)."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pretzellinks",
@@ -271,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("enumerate", help="classify all sequences in bounds")
-    p.add_argument("--max-u", type=int, required=True)
-    p.add_argument("--max-twist", type=int, required=True)
-    p.add_argument("--components", type=int, default=None)
+    p.add_argument("--max-u", type=_ascii_int, required=True)
+    p.add_argument("--max-twist", type=_ascii_int, required=True)
+    p.add_argument("--components", type=_ascii_int, default=None)
     p.add_argument("--out", default="-")
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.add_argument("--json", action="store_true")

@@ -32,7 +32,21 @@ from .sequences import (
     dihedral_canonical,
     is_realizable,
 )
-from .zpoly import ZPoly, binomial, coefficient, exact_div  # noqa: F401 (re-export)
+from .zpoly import ZPoly, coefficient, exact_div  # noqa: F401 (re-export)
+
+
+def _diagonal_binomials(t: int, r: int, count: int):
+    """C(t + i, 2i + r) for i < count, with r = 0 or 1.
+
+    Each value comes from the one before by the ratio of consecutive
+    binomials, C(n + 1, m + 2) = C(n, m) (n + 1)(n - m) / ((m + 1)(m + 2)),
+    which holds for any integer n; every step is an exact division.
+    """
+    c = t if r else 1
+    for i in range(count):
+        yield c
+        m = 2 * i + r
+        c = exact_div(c * (t + i + 1) * (t - i - r), (m + 1) * (m + 2))
 
 
 def phi_poly(t: int) -> ZPoly:
@@ -41,8 +55,7 @@ def phi_poly(t: int) -> ZPoly:
     The support is finite (terms vanish for i >= |t|).
     """
     coeffs = [0] * (2 * abs(t) + 1)
-    for i in range(abs(t)):
-        coeffs[2 * i + 1] = binomial(t + i, 2 * i + 1)
+    coeffs[1::2] = _diagonal_binomials(t, 1, abs(t))
     return ZPoly(coeffs)
 
 
@@ -50,8 +63,7 @@ def psi_poly(t: int) -> ZPoly:
     """Even twist-coefficient polynomial: sum of C(t+i, 2i) z^(2i)."""
     n_terms = t + 1 if t >= 0 else -t
     coeffs = [0] * (2 * n_terms)
-    for i in range(n_terms):
-        coeffs[2 * i] = binomial(t + i, 2 * i)
+    coeffs[0::2] = _diagonal_binomials(t, 0, n_terms)
     return ZPoly(coeffs)
 
 

@@ -366,21 +366,40 @@ def test_enumerate_classes_csv_digest(bounds):
 def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
     from pretzellinks import polynomials
     calls = []
-    reduce = polynomials.twistreduce_conway
+    statesum = polynomials.statesum_conway
 
     def counting(s):
         calls.append(s)
-        return reduce(s)
+        return statesum(s)
 
-    monkeypatch.setattr(polynomials, "twistreduce_conway", counting)
+    def forbidden(s):
+        raise AssertionError(f"twist recursion called on {s}")
+
+    monkeypatch.setattr(polynomials, "statesum_conway", counting)
+    monkeypatch.setattr(polynomials, "twistreduce_conway", forbidden)
     table = enumerate_classes(3, 2)
     orbits = {dihedral_canonical(EnhancedSequence.parse(r.sequence).entries)
               for r in table.rows}
     first = len(calls)
-    assert first == len(orbits) < len(table.rows)
+    assert first == len(orbits) == 48 and len(orbits) < len(table.rows)
     # No state survives the call: a second call does the same work again.
     enumerate_classes(3, 2)
     assert len(calls) == 2 * first
+
+
+@pytest.mark.parametrize("bounds", [(3, 2), (4, 3)])
+def test_enumerate_classes_rows_match_fresh_analysis(bounds):
+    # Each row's orbit-shared fields equal a fresh analysis of its own
+    # sequence, with the polynomial from the twist recursion.
+    from pretzellinks.polynomials import twistreduce_conway
+    from pretzellinks.sequences import twist_surplus
+    for r in enumerate_classes(*bounds).rows:
+        s = EnhancedSequence.parse(r.sequence)
+        nabla = twistreduce_conway(s)
+        assert (r.mu, r.key) == class_key(s, nabla)
+        assert r.surplus == twist_surplus(s)
+        assert (r.conway, r.a1, r.a3) == (
+            str(nabla), nabla.coefficient(1), nabla.coefficient(3))
 
 
 def test_enumerate_classes_checks_every_two_component_row(monkeypatch):

@@ -108,6 +108,17 @@ def test_enumerate_rejects_fewer_than_one_component(capsys, n):
     assert code == 2 and out == "" and "component" in err
 
 
+@pytest.mark.parametrize("option", ["--max-u", "--max-twist", "--components"])
+def test_enumerate_rejects_non_ascii_digits(capsys, option):
+    argv = {"--max-u": "2", "--max-twist": "2", "--components": "2"}
+    argv[option] = "\uff12"  # full-width 2, which int() alone accepts
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *(x for pair in argv.items() for x in pair)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {option}: invalid integer" in out.err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

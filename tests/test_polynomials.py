@@ -32,7 +32,7 @@ from pretzellinks.sequences import (
     S,
     enumerate_enhancements,
 )
-from pretzellinks.zpoly import ZPoly
+from pretzellinks.zpoly import ZPoly, binomial
 
 Z = ZPoly.term(1, 1)
 
@@ -54,6 +54,18 @@ def test_phi_psi_support():
         assert phi.degree <= 2 * abs(t) - 1 if t else phi.is_zero()
         n = t + 1 if t >= 0 else -t
         assert psi_poly(t).degree <= 2 * n - 2
+
+
+def test_phi_psi_match_binomial_definition():
+    # The coefficients step by binomial ratios; check each against binomial().
+    for t in range(-60, 61):
+        assert phi_poly(t) == ZPoly(
+            binomial(t + (j - 1) // 2, j) if j % 2 else 0
+            for j in range(2 * abs(t)))
+        n = t + 1 if t >= 0 else -t
+        assert psi_poly(t) == ZPoly(
+            0 if j % 2 else binomial(t + j // 2, j)
+            for j in range(2 * n - 1))
 
 
 @given(st.integers(-20, 20))

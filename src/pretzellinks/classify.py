@@ -317,17 +317,22 @@ def enumerate_classes(max_u: int, max_twist: int,
     polynomial work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
-    ResourceLimitError when the bound volume exceeds MAX_ENUMERATION
+    ResourceLimitError when the bounds span more than MAX_ENUMERATION
     enhanced sequences, both before doing any work.
     """
     if max_u < 1 or max_twist < 1:
         raise InvalidSequenceError("bounds must be positive")
     if components is not None and components < 1:
         raise InvalidSequenceError("a link has at least one component")
-    volume = sum((2 * max_twist) ** u * 2 ** u for u in range(1, max_u + 1))
-    if volume > MAX_ENUMERATION:
-        raise ResourceLimitError(
-            f"bounds enumerate up to {volume} sequences (limit {MAX_ENUMERATION})")
+    # Word length u gives (2 max_twist)^u twist words times 2^u tag words,
+    # at least 4^u, so the running total passes the cap within ten terms.
+    volume = 0
+    for u in range(1, max_u + 1):
+        volume += (4 * max_twist) ** u
+        if volume > MAX_ENUMERATION:
+            raise ResourceLimitError(
+                "the bounds max_u and max_twist enumerate more than "
+                f"{MAX_ENUMERATION} sequences (the limit)")
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     rows = []
     classes: dict[str, list[str]] = {}

@@ -8,9 +8,11 @@ every orientable base word, and they are cross-checked against the diagram
 oracle.  Because the value depends only on those counts, the state sum
 groups its 2^u states into count classes with one generating polynomial
 and calls `base_conway` once per class: O(u^2) polynomial products when
-every region is odd s or inf r, O(u) otherwise.  The twist recursion still
-visits up to 2^u partial sequences.  Closed forms for the first two
-interesting coefficients of 2-component pretzels are also provided.
+every region is odd s or inf r, O(u) otherwise.  The twist recursion takes
+each region's resolutions and coefficients from the state sum's table,
+built once per call, and still visits up to 2^u partial sequences.  Closed
+forms for the first two interesting coefficients of 2-component pretzels
+are also provided.
 """
 
 from __future__ import annotations
@@ -236,42 +238,26 @@ def twistreduce_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial by recursive two-term reduction of one region at a
     time, memoized on the cyclic-dihedral form of the partial sequence."""
     _require_realizable(seq)
-    memo: dict = {}
-    return _reduce(seq.entries, memo)
+    splits = [_split_resolutions(e) for e in seq]
+    return _reduce(seq.entries, 0, splits, {})
 
 
-def _reduce(entries: tuple[Entry, ...], memo: dict) -> ZPoly:
-    target = next(
-        (i for i, e in enumerate(entries) if not (e.k is INF or e.k in (0, 1))),
-        None)
-    if target is None:
+def _reduce(entries: tuple[Entry, ...], i: int, splits: list, memo: dict) -> ZPoly:
+    """Reduce the first region at or after i whose split has two nonzero
+    coefficients; every region before i is already resolved."""
+    u = len(entries)
+    while i < u and not (splits[i][0] and splits[i][2]):
+        i += 1
+    if i == u:
         return base_conway(EnhancedSequence(entries, base=True))
     key = dihedral_canonical(entries)
     cached = memo.get(key)
     if cached is not None:
         return cached
-
-    def sub(entry: Entry) -> ZPoly:
-        new = list(entries)
-        new[target] = entry
-        return _reduce(tuple(new), memo)
-
-    e = entries[target]
-    k = e.k
-    if e.eps is S:
-        if k % 2 == 0:
-            p = k // 2
-            value = sub(Entry(0, S)) - ZPoly((0, p)) * sub(Entry(INF, S))
-        else:
-            p = (k - 1) // 2
-            value = sub(Entry(1, S)) - ZPoly((0, p)) * sub(Entry(INF, R))
-    else:
-        if k % 2 == 0:
-            p = k // 2
-            value = phi_poly(p) * sub(Entry(1, R)) + psi_poly(p - 1) * sub(Entry(0, R))
-        else:
-            p = (k - 1) // 2
-            value = psi_poly(p) * sub(Entry(1, R)) + phi_poly(p) * sub(Entry(0, R))
+    marked, marked_entry, other, other_entry = splits[i]
+    head, tail = entries[:i], entries[i + 1:]
+    value = (marked * _reduce(head + (marked_entry,) + tail, i + 1, splits, memo)
+             + other * _reduce(head + (other_entry,) + tail, i + 1, splits, memo))
     memo[key] = value
     return value
 

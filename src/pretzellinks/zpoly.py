@@ -169,7 +169,7 @@ class ZPoly:
         return cls(out)
 
     _TERM_RE = re.compile(
-        r"^\s*(?P<coeff>[+-]?\d*)\s*(?P<z>z(\^(?P<exp>\d+))?)?\s*$", re.ASCII)
+        r"(?P<coeff>[+-]?\d*)(?P<z>z(\^(?P<exp>\d+))?)?", re.ASCII)
 
     @classmethod
     def parse(cls, text: str) -> "ZPoly":
@@ -177,8 +177,9 @@ class ZPoly:
         s = text.strip()
         if not s:
             raise ParseError("empty polynomial text")
-        # Normalize separators so each term keeps its sign.
-        s = s.replace("-", "+-").replace(" ", "")
+        # Spaces may stand only around a sign, never inside a term; then
+        # normalize separators so each term keeps its sign.
+        s = re.sub(r" *([+-]) *", r"\1", s).replace("-", "+-")
         if s.startswith("++-"):
             s = s[2:]
         chunks = [c for c in s.split("+") if c]
@@ -186,7 +187,7 @@ class ZPoly:
             raise ParseError(f"cannot parse polynomial: {text!r}")
         terms = []
         for chunk in chunks:
-            m = cls._TERM_RE.match(chunk)
+            m = cls._TERM_RE.fullmatch(chunk)
             if not m:
                 raise ParseError(f"bad polynomial term: {chunk!r}")
             coeff_s = m.group("coeff")

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -337,8 +338,13 @@ def test_enumerate_classes_groups_fixture_pair():
 
 
 def test_enumerate_classes_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        enumerate_classes(8, 9)
+    # Huge bounds fail at once, with a message that names the limit.
+    for bounds in [(8, 9), (100_000, 1), (2, 10**1000)]:
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as exc:
+            enumerate_classes(*bounds)
+        assert time.perf_counter() - t0 < 1.0
+        assert len(str(exc.value)) < 200 and "400000" in str(exc.value)
 
 
 def test_enumerate_classes_csv_and_json():

@@ -96,9 +96,15 @@ def test_enumerate_reports_unwritable_out(tmp_path, capsys, where):
 
 
 def test_enumerate_resource_limit(capsys):
-    code, _, err = run(capsys, "enumerate", "--max-u", "9", "--max-twist", "9",
-                       "--out", "-")
-    assert code == 2 and "limit" in err
+    # The full volume of 8000 x 1 has over 4300 digits, more than str()
+    # takes, and summing that of 100000 x 1 takes about a minute.
+    for max_u, max_twist in [("9", "9"), ("8000", "1"), ("100000", "1"),
+                             ("2", "1" + "0" * 1000)]:
+        code, out, err = run(capsys, "enumerate", "--max-u", max_u,
+                             "--max-twist", max_twist, "--out", "-")
+        assert code == 2 and out == "" and "limit" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

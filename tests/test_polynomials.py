@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parity_law_ok, seq
-from pretzellinks import diagrams
+from pretzellinks import diagrams, polynomials
 from pretzellinks.errors import (
     InvalidSequenceError,
+    PretzelInputError,
     UnrealizableOrientationError,
 )
 from pretzellinks.polynomials import (
@@ -278,6 +280,53 @@ def test_statesum_base_words_golden():
             count += 1
     assert count == 9330
     assert digest.hexdigest() == GOLDEN_STATESUM_BASE_DIGEST
+
+
+# SHA-256 of twistreduce_conway's coefficients, or its exception type and
+# message, on every tagged word with u <= 3 and k in {±1, ±2, ±3} (1,884, of
+# which 1,534 raise) and every orientable base word with u <= 4 (200).
+GOLDEN_TWISTREDUCE_DIGEST = (
+    "309342da84db3f86477b1cbf78f939e4dde0c873a46290dd37c0b35059887836")
+
+
+def test_twistreduce_golden():
+    """Pins the twist recursion's values and errors byte for byte."""
+    tagged = [Entry(k, eps) for k in (-3, -2, -1, 1, 2, 3) for eps in (S, R)]
+    words = [EnhancedSequence(combo)
+             for u in range(1, 4) for combo in itertools.product(tagged, repeat=u)]
+    for u in range(1, 5):
+        for combo in itertools.product(BASE_ALPHABET, repeat=u):
+            s = EnhancedSequence(combo, base=True)
+            try:
+                diagrams.orientation_data(s)
+            except UnrealizableOrientationError:
+                continue
+            words.append(s)
+    assert len(words) == 1884 + 200
+    digest = hashlib.sha256()
+    for s in words:
+        try:
+            result = twistreduce_conway(s).coeffs
+        except PretzelInputError as exc:
+            result = (type(exc).__name__, str(exc))
+        digest.update(repr((str(s), result)).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_TWISTREDUCE_DIGEST
+
+
+def test_twistreduce_builds_one_table_per_call(monkeypatch):
+    """phi/psi run at most once per region per call, and the memo's visits
+    (dihedral_canonical and base_conway calls) are pinned."""
+    counts = collections.Counter()
+    for name in ("phi_poly", "psi_poly", "dihedral_canonical", "base_conway"):
+        def counted(*args, _f=getattr(polynomials, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(polynomials, name, counted)
+    s = EnhancedSequence.parse(",".join(["3r", "-2r"] * 6))
+    twistreduce_conway(s)
+    assert counts["phi_poly"] <= len(s) and counts["psi_poly"] <= len(s)
+    assert counts["dihedral_canonical"] == 1461
+    assert counts["base_conway"] == 1098
 
 
 @pytest.mark.parametrize("u", [10, 12])

@@ -307,14 +307,21 @@ def enumerate_classes(max_u: int, max_twist: int,
     enhanced word) agree on every field but their sequence text: mu, the
     polynomial and so a1 and a3, and the class key are link invariants and
     the words are isotopic, and the twist surplus is a sum over the
-    multiset of entries, which a rotation or reflection keeps.  So each
-    orbit is analysed once per call, at its first row, whose polynomial
-    comes from the state sum (polynomial in u), and its row template is
-    reused by the later rows; nothing is kept between calls.  Every
-    2-component row is still checked against the closed forms
-    `polynomials.a1a3`: the first inside `class_key`, the later ones here.
-    With `components`, other component counts are skipped before any
-    polynomial work.
+    multiset of entries, which a rotation or reflection keeps.  So the walk
+    goes by orbits, not rows.  Only twist words ks that are the least of
+    their own dihedral orbit are visited; every other twist word is the
+    plain part of an image of some word over such a ks.  Each realizable
+    tag word over ks not yet seen is analysed once, its polynomial from the
+    state sum (polynomial in u), and one row is emitted for each distinct
+    rotation or reflection of it, with the text joined from its entry
+    texts.  A set of the images emitted for this ks is enough to skip the
+    rest of the orbit: the orbit's other words over ks are among them, and
+    its words over other twist words are reached from no other ks, since
+    their plain parts lie in the orbit of ks.  Nothing is kept between
+    calls.  Every 2-component row is still checked against the closed
+    forms `polynomials.a1a3`: the analysed word inside `class_key`, its
+    other images here.  With `components`, other component counts are
+    skipped before any polynomial work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
     ResourceLimitError when the bounds span more than MAX_ENUMERATION
@@ -336,25 +343,33 @@ def enumerate_classes(max_u: int, max_twist: int,
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     rows = []
     classes: dict[str, list[str]] = {}
-    # dihedral canonical word -> (mu, key, surplus, a1, a3, conway text, polynomial)
-    orbits: dict = {}
     for u in range(1, max_u + 1):
         for ks in itertools.product(values, repeat=u):
+            if ks != min(sequences.dihedral_words(ks)):
+                continue
             if components is not None and sequences.component_count(ks) != components:
                 continue
+            seen = set()
             for seq in sequences.enumerate_enhancements(ks):
-                orbit = sequences.dihedral_canonical(seq.entries)
-                template = orbits.get(orbit)
-                if template is None:
-                    nabla = polynomials.statesum_conway(seq)
-                    template = orbits[orbit] = (
-                        *class_key(seq, nabla), sequences.twist_surplus(seq),
-                        nabla.coefficient(1), nabla.coefficient(3), str(nabla), nabla)
-                elif template[0] == 2:
-                    _checked_a1a3(seq, template[-1])
-                text = str(seq)
-                rows.append(ClassRow(text, *template[:6]))
-                classes.setdefault(template[1], []).append(text)
+                word = seq.entries
+                if word in seen:
+                    continue
+                nabla = polynomials.statesum_conway(seq)
+                mu, key = class_key(seq, nabla)
+                fields = (mu, key, sequences.twist_surplus(seq),
+                          nabla.coefficient(1), nabla.coefficient(3), str(nabla))
+                members = classes.setdefault(key, [])
+                texts = tuple(str(e) for e in word)
+                for image, parts in zip(sequences.dihedral_words(word),
+                                        sequences.dihedral_words(texts)):
+                    if image in seen:
+                        continue
+                    seen.add(image)
+                    if mu == 2 and image != word:
+                        _checked_a1a3(EnhancedSequence(image), nabla)
+                    text = ",".join(parts)
+                    rows.append(ClassRow(text, *fields))
+                    members.append(text)
     rows.sort(key=lambda r: (r.mu, r.key, r.sequence))
     ordered = tuple(sorted(
         ((k, tuple(sorted(v))) for k, v in classes.items()),

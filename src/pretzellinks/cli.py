@@ -239,12 +239,23 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# Characters of a rejected option value that its error message quotes.
+QUOTED_PREFIX = 20
+
+
 def _ascii_int(text: str) -> int:
     """An integer option: an optional sign and ASCII digits only (int()
-    alone also takes every other Unicode decimal digit)."""
+    alone also takes every other Unicode decimal digit).  Digits past
+    int()'s conversion limit (sys.get_int_max_str_digits) are rejected
+    too, and a message quotes at most QUOTED_PREFIX characters."""
+    quoted = repr(text[:QUOTED_PREFIX]) + ("..." if len(text) > QUOTED_PREFIX else "")
     if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
-    return int(text)
+        raise argparse.ArgumentTypeError(f"invalid integer: {quoted}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"integer too long: {quoted} ({len(text)} characters)") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,10 +42,13 @@ class ZPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # A tuple that already ends in a nonzero coefficient is kept as is
+        # (a full slice of a tuple is the tuple itself).
+        cs = coeffs if type(coeffs) is tuple else tuple(coeffs)
+        n = len(cs)
+        while n and cs[n - 1] == 0:
+            n -= 1
+        object.__setattr__(self, "coeffs", cs[:n])
 
     def __setattr__(self, name, value):
         raise AttributeError("ZPoly is immutable")
@@ -107,6 +110,12 @@ class ZPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZPoly()
+        # A constant factor scales the other one: no convolution, and no
+        # new polynomial at all when it is 1.
+        if len(a) == 1:
+            return other if a[0] == 1 else ZPoly(tuple(a[0] * c for c in b))
+        if len(b) == 1:
+            return self if b[0] == 1 else ZPoly(tuple(c * b[0] for c in a))
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -408,6 +408,31 @@ def test_enumerate_classes_rows_match_fresh_analysis(bounds):
             str(nabla), nabla.coefficient(1), nabla.coefficient(3))
 
 
+@pytest.mark.parametrize("bounds, components", [
+    ((4, 2), None), ((2, 4), None), ((3, 3), None),
+    ((4, 2), 1), ((4, 2), 2), ((4, 2), 3)])
+def test_enumerate_classes_emits_every_realizable_word_once(bounds, components):
+    # The table walks orbits from the least twist word of each; its rows
+    # must still be every realizable word within the bounds, each once.
+    from pretzellinks.sequences import Entry, component_count, is_realizable
+    expected = sorted(
+        str(s) for ks in all_plain_sequences(*bounds)
+        if components is None or component_count(ks) == components
+        for tags in itertools.product((S, R), repeat=len(ks))
+        for s in [EnhancedSequence(tuple(map(Entry, ks, tags)))]
+        if is_realizable(s))
+    texts = [r.sequence for r in enumerate_classes(*bounds, components).rows]
+    assert sorted(texts) == expected
+    # Among them are words fixed by a rotation or reflection, whose images
+    # repeat, so the walk meets such a word more than once.
+    fixed = [w for w in ("1s,1s,1s", "2s,-2s", "2s,2s,2s", "1r,2s,1r,2s")
+             if w in expected]
+    assert fixed
+    for w in fixed:
+        entries = EnhancedSequence.parse(w).entries
+        assert len(set(dihedral_words(entries))) < 2 * len(entries)
+
+
 def test_enumerate_classes_checks_every_two_component_row(monkeypatch):
     # 2s,-2s is a later row of the orbit of -2s,2s: its analysis is reused,
     # but its closed forms are still checked.

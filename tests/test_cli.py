@@ -125,6 +125,19 @@ def test_enumerate_rejects_non_ascii_digits(capsys, option):
     assert f"argument {option}: invalid integer" in out.err
 
 
+@pytest.mark.parametrize("option", ["--max-u", "--max-twist", "--components"])
+def test_enumerate_rejects_integers_past_the_conversion_limit(capsys, option):
+    # 5,000 digits is more than int() converts from text by default.
+    argv = {"--max-u": "2", "--max-twist": "2", "--components": "2"}
+    argv[option] = "1" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *(x for pair in argv.items() for x in pair)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {option}: integer too long" in out.err
+    assert len(out.err) < 500 and "_ascii_int" not in out.err
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

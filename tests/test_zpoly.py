@@ -87,3 +87,42 @@ def test_substitute_z():
     assert LaurentZ.const(5).substitute_z() == ZPoly((5,))
     with pytest.raises(InternalConsistencyError):
         x.substitute_z()
+
+
+def _convolution(a, b):
+    """Reference product: the general convolution of coefficient tuples."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+@given(st.sampled_from([0, 1, -1, 2, -7, 10**30]), small_poly)
+def test_constant_factor_products_equal_the_convolution(c, f):
+    const = ZPoly((c,))
+    for product in (const * f, f * const):
+        assert product.coeffs == _convolution((c,), f.coeffs)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=8),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=8))
+def test_products_of_nonconstant_polynomials_equal_the_convolution(a, b):
+    a[-1] = a[-1] or 1
+    b[-1] = b[-1] or 1
+    f, g = ZPoly([0] + a), ZPoly([0] + b)  # degree >= 1
+    assert (f * g).coeffs == _convolution(f.coeffs, g.coeffs)
+
+
+@given(st.lists(st.integers(-3, 3), max_size=8), st.integers(0, 4))
+def test_trailing_zeros_normalise_for_every_iterable(cs, zeros):
+    padded = cs + [0] * zeros
+    want = list(cs)
+    while want and want[-1] == 0:
+        want.pop()
+    for given_form in (tuple(padded), list(padded), (c for c in padded)):
+        f = ZPoly(given_form)
+        assert type(f.coeffs) is tuple and f.coeffs == tuple(want)
+        assert f.degree == len(want) - 1

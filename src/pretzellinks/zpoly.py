@@ -110,12 +110,12 @@ class ZPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZPoly()
-        # A constant factor scales the other one: no convolution, and no
-        # new polynomial at all when it is 1.
-        if len(a) == 1:
-            return other if a[0] == 1 else ZPoly(tuple(a[0] * c for c in b))
-        if len(b) == 1:
-            return self if b[0] == 1 else ZPoly(tuple(c * b[0] for c in a))
+        # The state sum starts from 1 and marks each s region by 1, so most
+        # of its products have a factor of 1: return the other factor.
+        if a == (1,):
+            return other
+        if b == (1,):
+            return self
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -162,10 +162,10 @@ def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
 
 def self_delta_trivial_2comp(seq: EnhancedSequence) -> bool:
     """Whether a 2-component pretzel is self-delta-equivalent to the trivial
-    2-component link (a1 = a3 = 0)."""
+    2-component link (a1 = a3 = 0), by the state sum's polynomial."""
     if sequences.component_count(seq.plain()) != 2:
         raise UnsupportedError("triviality test is for 2-component pretzels")
-    return _checked_a1a3(seq, polynomials.twistreduce_conway(seq)) == (0, 0)
+    return _checked_a1a3(seq, polynomials.statesum_conway(seq)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,7 @@ def _selftest_suites():
             for combo in itertools.product(alphabet, repeat=u):
                 s = EnhancedSequence(combo, base=True)
                 try:
-                    diagrams.orientation_data(s)
+                    sequences.orientation_data(s)
                 except PretzelInputError:
                     continue
                 if polynomials.base_conway(s) != diagrams.oracle_conway(s):

@@ -2,10 +2,11 @@
 
 A diagram is built directly from the cyclic sequence: u twist regions with
 |k_i| crossings each (right-handed for k_i > 0), joined cyclically by top and
-bottom bridges.  Orientations are propagated from a positive first top
-bridge.  The oracle computes a Seifert matrix for the surface obtained by
-orientation-respecting smoothing and evaluates det(x*V - x^-1*V^T) exactly,
-rewritten in z = x - x^-1.  `component_conway(diagram, j)` takes a built
+bottom bridges.  Orientations come from `sequences.orientation_data`,
+propagated from a positive first top bridge.  The oracle computes a Seifert
+matrix for the surface obtained by orientation-respecting smoothing and
+evaluates det(x*V - x^-1*V^T) exactly, rewritten in z = x - x^-1.
+`component_conway(diagram, j)` takes a built
 diagram and evaluates the side-closure of component j with the oracle, so a
 caller that needs every component builds the full diagram once.
 
@@ -25,55 +26,9 @@ from .errors import (
     InternalConsistencyError,
     InvalidSequenceError,
     SplitDiagramError,
-    UnrealizableOrientationError,
 )
-from .sequences import INF, EnhancedSequence, Entry, R, S
+from .sequences import INF, EnhancedSequence, Entry, R, S, orientation_data
 from .zpoly import LaurentZ, ZPoly, exact_div
-
-# ---------------------------------------------------------------------------
-# orientation propagation
-
-
-def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Orientations (+1 forward / -1 backward) of top and bottom bridges.
-
-    Bridge i joins region i to region i+1 (indices mod u); the first top
-    bridge is pinned positive.  Raises UnrealizableOrientationError when the
-    tags admit no consistent assignment.
-
-    A finite r region reverses the top orientation across it; any other
-    region keeps it.  Once the top bridges close up, each region forces
-    bot = c * top on both of its bridges, with c = +1 for odd s and inf r
-    regions and c = -1 for the rest.  Neighbouring regions share a bridge,
-    so the bottom bridges are consistent exactly when c is the same for
-    every region.
-    """
-    top = []
-    side = 1  # top bridge right of this region, relative to the one left of region 0
-    plus = minus = False
-    for e in seq.entries:
-        if e.k is INF:
-            c_plus = e.eps is R
-        elif e.eps is R:
-            side = -side
-            c_plus = False
-        else:
-            c_plus = e.k % 2 != 0
-        if c_plus:
-            plus = True
-        else:
-            minus = True
-        top.append(side)
-    if side != 1:
-        raise UnrealizableOrientationError(
-            f"top-bridge orientations are inconsistent for {seq}")
-    if plus and minus:
-        raise UnrealizableOrientationError(
-            f"bottom-bridge orientations are inconsistent for {seq}")
-    pin = top[0]  # the first top bridge is positive
-    c = pin if plus else -pin
-    return tuple(pin * t for t in top), tuple(c * t for t in top)
-
 
 # ---------------------------------------------------------------------------
 # diagram construction

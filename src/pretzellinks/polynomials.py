@@ -10,14 +10,15 @@ groups its 2^u states into count classes with one generating polynomial
 and calls `base_conway` once per class: O(u^2) polynomial products when
 every region is odd s or inf r, O(u) otherwise.  The twist recursion takes
 each region's resolutions and coefficients from the state sum's table,
-built once per call, and still visits up to 2^u partial sequences.  Closed
+built once per call, and still visits up to 2^u partial sequences.  The
+table's coefficients are `torus_conway` values and orientability comes
+from `sequences.orientation_data`: nothing here imports the oracle.  Closed
 forms for the first two interesting coefficients of 2-component pretzels
 are also provided.
 """
 
 from __future__ import annotations
 
-from . import diagrams
 from .errors import (
     InternalConsistencyError,
     InvalidSequenceError,
@@ -33,6 +34,7 @@ from .sequences import (
     TwistType,
     dihedral_canonical,
     is_realizable,
+    orientation_data,
 )
 from .zpoly import ZPoly, coefficient, exact_div  # noqa: F401 (re-export)
 
@@ -100,7 +102,7 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     - otherwise two or more zeros: 0 (split); exactly one zero: 1 (unknot);
       no zeros, so m copies of 1r: torus_conway(-m, S).
 
-    These rules cover every orientable base word.  `diagrams.orientation_data`
+    These rules cover every orientable base word.  `orientation_data`
     accepts a word only if bot = c * top with one c all round the cycle (see
     its docstring); on base entries c = +1 for 1s and infr and c = -1 for 1r,
     0s, 0r and infs.  The orientable words are therefore exactly (A) every entry in
@@ -123,7 +125,7 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
             raise InvalidSequenceError(f"{e} is not a base entry")
         m += 1
     # Reject unrealizable tag patterns up front (the rules assume a diagram).
-    diagrams.orientation_data(seq)
+    orientation_data(seq)
     if not m:
         return ZPoly.zero()
     if ones_s == m:
@@ -147,19 +149,19 @@ def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
     region (the other is inf r), a zero for any other finite region (the
     other is inf s or 1r).  An inf region resolves to itself, unmarked.  At
     most one of the two coefficients is zero.
+
+    By Conway's skein relation (Conway 1970) each coefficient is a (2, k)
+    torus value from `torus_conway`: k - 1 and k for an r region's zero and
+    1r; 1 and k - k % 2, anti-parallel, for an s region's marked and inf.
     """
     k = e.k
     if k is INF:
         return ZPoly.zero(), e, ZPoly.one(), e
-    if e.eps is S:
-        if k % 2 == 0:
-            return ZPoly.one(), Entry(0, S), ZPoly((0, -(k // 2))), Entry(INF, S)
-        return ZPoly.one(), Entry(1, S), ZPoly((0, -((k - 1) // 2))), Entry(INF, R)
-    if k % 2 == 0:
-        p = k // 2
-        return psi_poly(p - 1), Entry(0, R), phi_poly(p), Entry(1, R)
-    p = (k - 1) // 2
-    return phi_poly(p), Entry(0, R), psi_poly(p), Entry(1, R)
+    if e.eps is R:
+        return torus_conway(k - 1, R), Entry(0, R), torus_conway(k, R), Entry(1, R)
+    odd = k % 2
+    return (ZPoly.one(), Entry(odd, S), torus_conway(k - odd, S),
+            Entry(INF, R if odd else S))
 
 
 def _state(splits: list, extra: int) -> EnhancedSequence:
@@ -201,7 +203,7 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     u + 1 real states of the sequence, so the count rule lives only there.
 
     A resolution keeps whether its region reverses the top bridges and which
-    bottom rule it obeys (c in `diagrams.orientation_data`), so every state
+    bottom rule it obeys (c in `orientation_data`), so every state
     is orientable exactly when the sequence is; `_require_realizable`
     checks that once.
     """
@@ -265,7 +267,7 @@ def _reduce(entries: tuple[Entry, ...], i: int, splits: list, memo: dict) -> ZPo
 def _require_realizable(seq: EnhancedSequence) -> None:
     if seq.base:
         # Internal sequences only need a consistent orientation.
-        diagrams.orientation_data(seq)
+        orientation_data(seq)
         return
     if not is_realizable(seq):
         raise UnrealizableOrientationError(f"{seq} admits no oriented diagram")
@@ -293,14 +295,11 @@ def a1a3_odd(seq: EnhancedSequence) -> tuple[int, int]:
               - exact_div(sum(p * (p + 1) * (2 * p + 1) for p in ps), 6))
         return a1, a3
     a1 = -nu - e1
-    # elementary symmetric sums of degree 2 and 3
-    e2 = 0
-    e3 = 0
-    for i in range(u):
-        for j in range(i + 1, u):
-            e2 += ps[i] * ps[j]
-            for k in range(j + 1, u):
-                e3 += ps[i] * ps[j] * ps[k]
+    # elementary symmetric sums of degree 2 and 3, by Newton's identities
+    p2 = sum(p * p for p in ps)
+    p3 = sum(p * p * p for p in ps)
+    e2 = exact_div(e1 * e1 - p2, 2)
+    e3 = exact_div(e1 ** 3 - 3 * e1 * p2 + 2 * p3, 6)
     a3 = -(exact_div(nu * (nu * nu - 1), 6)
            + exact_div(nu * (nu - 1), 2) * e1
            + (nu - 1) * e2

@@ -3,7 +3,10 @@
 A pretzel sequence is a cyclic word of nonzero integers (half-twist counts).
 An enhanced sequence additionally tags each entry with its strand-orientation
 type: S for anti-parallel strands, R for parallel strands.  Everything here
-is pure and value-based; diagram semantics live in `diagrams`.
+is pure and value-based.  The orientation rule lives here: `orientation_data`
+decides which tag words are realizable and orients their bridges, and
+`is_realizable`, `enumerate_enhancements`, the resolution engines and the
+diagram construction in `diagrams` all take it from here.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import InvalidSequenceError, ParseError, UnsupportedError
+from .errors import (
+    InvalidSequenceError,
+    ParseError,
+    UnrealizableOrientationError,
+    UnsupportedError,
+)
 
 
 class TwistType(IntEnum):
@@ -193,29 +201,68 @@ def component_count(ks: Sequence[int]) -> int:
     return evens
 
 
+def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Orientations (+1 forward / -1 backward) of top and bottom bridges.
+
+    Bridge i joins region i to region i+1 (indices mod u); the first top
+    bridge is pinned positive.  Raises UnrealizableOrientationError when the
+    tags admit no consistent assignment.
+
+    A finite r region reverses the top orientation across it; any other
+    region keeps it.  Once the top bridges close up, each region forces
+    bot = c * top on both of its bridges, with c = +1 for odd s and inf r
+    regions and c = -1 for the rest.  Neighbouring regions share a bridge,
+    so the bottom bridges are consistent exactly when c is the same for
+    every region.
+    """
+    top = []
+    side = 1  # top bridge right of this region, relative to the one left of region 0
+    plus = minus = False
+    for e in seq.entries:
+        if e.k is INF:
+            c_plus = e.eps is R
+        elif e.eps is R:
+            side = -side
+            c_plus = False
+        else:
+            c_plus = e.k % 2 != 0
+        if c_plus:
+            plus = True
+        else:
+            minus = True
+        top.append(side)
+    if side != 1:
+        raise UnrealizableOrientationError(
+            f"top-bridge orientations are inconsistent for {seq}")
+    if plus and minus:
+        raise UnrealizableOrientationError(
+            f"bottom-bridge orientations are inconsistent for {seq}")
+    pin = top[0]  # the first top bridge is positive
+    c = pin if plus else -pin
+    return tuple(pin * t for t in top), tuple(c * t for t in top)
+
+
 def is_realizable(seq: EnhancedSequence) -> bool:
-    """Whether the tagged orientation pattern is realizable on the diagram."""
-    ks = [e.k for e in seq]
-    if any(k == 0 or e.is_inf for k, e in zip(ks, seq)):
+    """Whether the tagged orientation pattern is realizable on the diagram,
+    that is, whether `orientation_data` accepts the user word."""
+    if any(e.is_inf or e.k == 0 for e in seq):
         raise InvalidSequenceError("realizability is a user-level question")
-    evens = [e for e in seq if e.is_even]
-    if not evens:
-        if len(seq) % 2 == 1:
-            return all(e.eps is S for e in seq)
-        return all(e.eps is S for e in seq) or all(e.eps is R for e in seq)
-    n_r = sum(1 for e in seq if e.eps is R)
-    if n_r % 2 != 0:
+    try:
+        orientation_data(seq)
+    except UnrealizableOrientationError:
         return False
-    return all(e.eps is R for e in seq if e.is_odd)
+    return True
 
 
 def enumerate_enhancements(ks: Sequence[int]) -> list[EnhancedSequence]:
     """All realizable type assignments, in binary-counter order (S before R,
     the first entry most significant).
 
-    Only realizable words are built, by the rule `is_realizable` tests: with
-    no even entry, all S, plus all R when u is even; otherwise every odd
-    entry is R, the even entries are free and the number of R is even.
+    Only realizable words are built: the words `orientation_data` accepts,
+    c = +1 or c = -1.  With c = +1 every region is odd s, and the top
+    bridges close up, so all S with no even entry.  With c = -1 no region is
+    odd s, so every odd entry is R, and the number of R is even for the top
+    bridges to close up; with no even entry that is all R when u is even.
     `itertools.product` over each entry's allowed tags runs in counter order.
     """
     ks = _check_plain(ks)

@@ -189,8 +189,6 @@ class ZPoly:
         # Spaces may stand only around a sign, never inside a term; then
         # normalize separators so each term keeps its sign.
         s = re.sub(r" *([+-]) *", r"\1", s).replace("-", "+-")
-        if s.startswith("++-"):
-            s = s[2:]
         chunks = [c for c in s.split("+") if c]
         if not chunks:
             raise ParseError(f"cannot parse polynomial: {text!r}")

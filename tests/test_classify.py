@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import all_plain_sequences, seq
-from pretzellinks import diagrams
+from pretzellinks import diagrams, polynomials
 from pretzellinks.classify import (
     KNOT_UNDETERMINED,
     NOT_SLICE_SHAPE,
@@ -278,6 +278,17 @@ def test_slice_shape_examples():
     assert slice_shape(seq((2, S), (4, S))).verdict == NOT_SLICE_SHAPE
 
 
+def test_triviality_and_slice_shape_use_the_state_sum(monkeypatch):
+    """Both take the polynomial from the state sum, so a u = 20 word is
+    answered without the 2^u twist recursion."""
+    def refuse(seq):
+        raise AssertionError(f"twist recursion called on {seq}")
+    monkeypatch.setattr(polynomials, "twistreduce_conway", refuse)
+    s = EnhancedSequence.parse(",".join(["3r", "-3r"] * 10))
+    assert self_delta_trivial_2comp(s)
+    assert slice_shape(s).verdict == SLICE_SHAPE_2COMP
+
+
 def test_conway_vanishing_examples():
     assert conway_vanishing_predict(seq((3, R), (-3, R), (5, R), (-5, R)))
     assert not conway_vanishing_predict(seq((2, S), (-2, R), (2, S), (-2, R)))
@@ -318,6 +329,17 @@ def test_equivalent_pairs_satisfy_necessary_conditions():
 
 
 # -- enumeration ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("u", [40, 120, 200])
+def test_class_key_checks_long_all_odd_s_words(u):
+    """class_key checks a1a3_odd's closed forms against the state sum."""
+    rng = random.Random(u)
+    s = EnhancedSequence.of(*((rng.choice([-7, -5, -3, -1, 1, 3, 5, 7]), S)
+                              for _ in range(u)))
+    mu, key = class_key(s)
+    a1, _ = polynomials.a1a3_odd(s)
+    assert mu == 2 and key.startswith(f"a1={a1};c3=")
 
 
 def test_enumerate_classes_small():

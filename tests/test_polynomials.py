@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parity_law_ok, seq
+from statesum_reference import _resolutions
 from pretzellinks import diagrams, polynomials
 from pretzellinks.errors import (
     InvalidSequenceError,
@@ -280,6 +281,17 @@ def test_statesum_base_words_golden():
             count += 1
     assert count == 9330
     assert digest.hexdigest() == GOLDEN_STATESUM_BASE_DIGEST
+
+
+def test_split_resolutions_match_reference_table():
+    """The torus-value table equals the test reference's phi/psi table on
+    its nonzero terms, well past the goldens' |k| <= 4."""
+    for k in [*range(-60, 61), INF]:
+        for eps in (S, R):
+            e = Entry(k, eps)
+            split = polynomials._split_resolutions(e)
+            got = {pair for pair in (split[:2], split[2:]) if pair[0]}
+            assert got == {pair for pair in _resolutions(e) if pair[0]}, str(e)
 
 
 # SHA-256 of twistreduce_conway's coefficients, or its exception type and

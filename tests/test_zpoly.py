@@ -64,6 +64,7 @@ def test_str_and_parse_round_trip():
     ]
     for f in cases:
         assert ZPoly.parse(str(f)) == f
+    assert ZPoly.parse("+ -3z") == ZPoly((0, -3))
     for text in ("\uff13z", "z^\uff13", "\u0663 + z",
                  "2 3", "1 0z", "z^1 0", "3z^ 2", "1\n+ z"):
         with pytest.raises(ParseError):

@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conway", help="Conway polynomial of a pretzel link")
     p.add_argument("sequence")
-    p.add_argument("--method", default="twistreduce",
+    p.add_argument("--method", default="statesum",
                    choices=["statesum", "twistreduce", "seifert", "all"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_conway)

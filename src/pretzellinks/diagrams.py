@@ -341,8 +341,13 @@ def _necklace_cycles(entries, top, opens):
 
 def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPoly:
     """det(x*V - x^-1*V^T) rewritten exactly in z = x - x^-1."""
-    rows = matrix.rows if isinstance(matrix, SeifertMatrix) else tuple(
-        tuple(int(v) for v in row) for row in matrix)
+    if isinstance(matrix, SeifertMatrix):
+        rows = matrix.rows
+    else:
+        rows = tuple(tuple(row) for row in matrix)
+        for v in (v for row in rows for v in row):
+            if type(v) is not int:  # so a bool is rejected
+                raise InvalidSequenceError(f"non-integer Seifert entry {v!r}")
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -355,7 +360,14 @@ def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPol
 
 
 def _laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:
-    """Fraction-free (Bareiss) determinant over the Laurent ring."""
+    """Fraction-free (Bareiss) determinant over the Laurent ring.
+
+    Step k updates m[i][j] to (m[i][j] * pivot - m[i][k] * m[k][j]) / prev.
+    No product with a zero factor is formed: where m[i][k] or m[k][j] is
+    zero the update is m[i][j] * pivot / prev, so an entry that is zero as
+    well stays zero.  Seifert matrices are banded with one ring row and
+    column, so most entries take one of these shortcuts.
+    """
     n = len(m)
     sign = 1
     prev = LaurentZ.const(1)
@@ -366,11 +378,22 @@ def _laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:
                 return LaurentZ.zero()
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = m[k]
+        piv = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-        prev = m[k][k]
+                a, b = row[j], top[j]
+                if lead.is_zero() or b.is_zero():
+                    if a.is_zero():
+                        continue
+                    num = a * piv
+                elif a.is_zero():
+                    num = -(lead * b)
+                else:
+                    num = a * piv - lead * b
+                row[j] = num.exact_div(prev)
+        prev = piv
     return m[n - 1][n - 1] * sign
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pretzellinks import polynomials
 from pretzellinks.cli import main
 from pretzellinks.sequences import EnhancedSequence
 from pretzellinks.zpoly import ZPoly
@@ -58,9 +59,22 @@ def test_json_round_trip(capsys):
     payload = json.loads(out)
     seq = EnhancedSequence.parse(payload["sequence"])
     assert str(seq) == "4s,4r,1r,1r,1r"
-    poly = ZPoly.from_pairs(payload["conway"]["twistreduce"])
+    poly = ZPoly.from_pairs(payload["conway"]["statesum"])
     assert poly == ZPoly((0, 0, 0, -9, 0, -4))
     assert ZPoly.parse(str(poly)) == poly
+
+
+def test_conway_default_is_the_state_sum(capsys, monkeypatch):
+    """The default method stays polynomial in u: at u = 30 the twist
+    recursion would walk up to 2^30 partial words."""
+    def refuse(seq):
+        raise AssertionError("the default method called twistreduce_conway")
+
+    monkeypatch.setattr(polynomials, "twistreduce_conway", refuse)
+    word = ",".join(["3r", "-2r"] * 15)
+    code, out, _ = run(capsys, "conway", word)
+    assert code == 0
+    assert out.strip() == str(polynomials.statesum_conway(EnhancedSequence.parse(word)))
 
 
 def test_invariants_json(capsys):

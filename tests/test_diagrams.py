@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from bareiss_reference import dense_laurent_det
 from conftest import all_plain_sequences, parity_law_ok, seq
+from pretzellinks import zpoly
 from pretzellinks.diagrams import (
     Diagram,
     SeifertMatrix,
+    _laurent_det,
     build_diagram,
     component_conway,
     conway_from_seifert,
@@ -33,7 +36,7 @@ from pretzellinks.sequences import (
     component_count,
     enumerate_enhancements,
 )
-from pretzellinks.zpoly import ZPoly
+from pretzellinks.zpoly import LaurentZ, ZPoly
 
 
 # -- construction -------------------------------------------------------------
@@ -181,6 +184,51 @@ def test_conway_from_seifert_examples():
     assert conway_from_seifert([]) == ZPoly.one()
     with pytest.raises(InvalidSequenceError):
         conway_from_seifert([[1, 2]])
+    for malformed in ([[1.5]], [[True]], [["2"]], [[1.9, 0], [0, 1]]):
+        with pytest.raises(InvalidSequenceError):
+            conway_from_seifert(malformed)
+
+
+def _laurent_form(rows):
+    """x*V - x^-1*V^T as conway_from_seifert builds it."""
+    n = len(rows)
+    return [[LaurentZ(-1, (-rows[j][i], 0, rows[i][j])) for j in range(n)]
+            for i in range(n)]
+
+
+def test_laurent_det_matches_the_dense_elimination():
+    """Seeded sparse and dense integer matrices, singular ones and zero
+    leading pivots included, against the loop that multiplies every pair."""
+    rng = random.Random(1968)
+    singular = swapped = 0
+    for density in (0.15, 0.3, 0.6, 1.0):
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            rows = [[rng.randint(-3, 3) if rng.random() < density else 0
+                     for _ in range(n)] for _ in range(n)]
+            for m in (_laurent_form(rows),
+                      [[LaurentZ.const(v) for v in row] for row in rows]):
+                swapped += m[0][0].is_zero()
+                expected = dense_laurent_det([row[:] for row in m])
+                assert _laurent_det([row[:] for row in m]) == expected, rows
+                singular += expected.is_zero()
+    assert singular and swapped
+
+
+def test_laurent_det_skips_zero_products(monkeypatch):
+    """The banded n = 29 matrix of 10r,-9r,11r,2r takes 15,429 Laurent
+    products when every entry pair is multiplied."""
+    calls = [0]
+
+    def counted(self, other, _mul=LaurentZ.__mul__):
+        calls[0] += 1
+        return _mul(self, other)
+
+    monkeypatch.setattr(zpoly.LaurentZ, "__mul__", counted)
+    s = EnhancedSequence.parse("10r,-9r,11r,2r")
+    assert seifert_matrix(build_diagram(s)).size == 29
+    oracle_conway(s)
+    assert calls[0] <= 1500
 
 
 def test_seifert_matrix_split_raises():

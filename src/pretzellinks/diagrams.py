@@ -5,7 +5,9 @@ A diagram is built directly from the cyclic sequence: u twist regions with
 bottom bridges.  Orientations come from `sequences.orientation_data`,
 propagated from a positive first top bridge.  The oracle computes a Seifert
 matrix for the surface obtained by orientation-respecting smoothing and
-evaluates det(x*V - x^-1*V^T) exactly, rewritten in z = x - x^-1.
+evaluates det(x*V - x^-1*V^T) exactly, rewritten in z = x - x^-1.  Factoring
+x^-1 out of each of the n rows gives det(x*V - x^-1*V^T) = x^-n *
+det(y*V - V^T) at y = x^2, so the elimination runs in y.
 `component_conway(diagram, j)` takes a built
 diagram and evaluates the side-closure of component j with the oracle, so a
 caller that needs every component builds the full diagram once.
@@ -340,11 +342,20 @@ def _necklace_cycles(entries, top, opens):
 
 
 def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPoly:
-    """det(x*V - x^-1*V^T) rewritten exactly in z = x - x^-1."""
+    """det(x*V - x^-1*V^T) rewritten exactly in z = x - x^-1.
+
+    Factoring x^-1 out of each of the n rows gives
+    det(x*V - x^-1*V^T) = x^-n * P(x^2) with P(y) = det(y*V - V^T), so the
+    elimination runs on two-term entries in y = x^2.
+    """
     if isinstance(matrix, SeifertMatrix):
         rows = matrix.rows
     else:
-        rows = tuple(tuple(row) for row in matrix)
+        try:
+            rows = tuple(tuple(row) for row in matrix)
+        except TypeError:
+            raise InvalidSequenceError(
+                "Seifert matrix must be a sequence of rows") from None
         for v in (v for row in rows for v in row):
             if type(v) is not int:  # so a bool is rejected
                 raise InvalidSequenceError(f"non-integer Seifert entry {v!r}")
@@ -354,9 +365,11 @@ def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPol
             raise InvalidSequenceError("Seifert matrix must be square")
     if n == 0:
         return ZPoly.one()
-    lm = [[LaurentZ(-1, (-rows[j][i], 0, rows[i][j])) for j in range(n)]
-          for i in range(n)]
-    return _laurent_det(lm).substitute_z()
+    p = _laurent_det([[LaurentZ(0, (-rows[j][i], rows[i][j])) for j in range(n)]
+                      for i in range(n)])
+    spread = [0] * (2 * len(p.coeffs) - 1)  # empty when P is zero
+    spread[::2] = p.coeffs
+    return LaurentZ(2 * p.lo - n, spread).substitute_z()
 
 
 def _laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:

@@ -1,10 +1,12 @@
-"""The oracle's Bareiss elimination with every entry pair multiplied.
+"""The oracle's Bareiss elimination as it was first written, kept as a test
+reference only.
 
-`diagrams._laurent_det` skips products with a zero factor.  This is the
-dense loop it replaced, kept verbatim as a test reference only.
+`diagrams._laurent_det` skips products with a zero factor; `dense_laurent_det`
+is the dense loop it replaced, verbatim.  `conway_from_seifert` eliminates
+y*V - V^T in y = x^2; `x_form_conway` eliminates x*V - x^-1*V^T itself.
 """
 
-from pretzellinks.zpoly import LaurentZ
+from pretzellinks.zpoly import LaurentZ, ZPoly
 
 
 def dense_laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:
@@ -25,3 +27,13 @@ def dense_laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:
                 m[i][j] = num.exact_div(prev)
         prev = m[k][k]
     return m[n - 1][n - 1] * sign
+
+
+def x_form_conway(rows) -> ZPoly:
+    """det(x*V - x^-1*V^T) by the dense loop in x, rewritten in z."""
+    n = len(rows)
+    if n == 0:
+        return ZPoly.one()
+    m = [[LaurentZ(-1, (-rows[j][i], 0, rows[i][j])) for j in range(n)]
+         for i in range(n)]
+    return dense_laurent_det(m).substitute_z()

@@ -31,6 +31,34 @@ def all_plain_sequences(max_u, max_twist):
         yield from itertools.product(values, repeat=u)
 
 
+def random_realizable(rng, u, max_k, min_k=1, all_odd=False):
+    """A realizable user word: with no even entry all s (or all r when u is
+    even); otherwise every odd entry r and an even number of r."""
+    values = [k for k in range(min_k, max_k + 1) if k % 2 or not all_odd]
+    ks = [rng.choice((-1, 1)) * rng.choice(values) for _ in range(u)]
+    evens = [i for i, k in enumerate(ks) if k % 2 == 0]
+    if not evens:
+        tags = [R if u % 2 == 0 and rng.random() < 0.5 else S] * u
+    else:
+        tags = [R if k % 2 else rng.choice((S, R)) for k in ks]
+        if tags.count(R) % 2:
+            i = rng.choice(evens)
+            tags[i] = S if tags[i] is R else R
+    return EnhancedSequence(tuple(map(Entry, ks, tags)))
+
+
+def random_deep_words(rng, count=20):
+    """Deep-shaped words: u 2..4 and 7 <= |k| <= 20.  A Seifert matrix has
+    at most one row per crossing, so total |k| <= 50 keeps it at most 50
+    rows."""
+    words = []
+    while len(words) < count:
+        s = random_realizable(rng, rng.randint(2, 4), 20, min_k=7)
+        if sum(abs(e.k) for e in s) <= 50:
+            words.append(s)
+    return words
+
+
 @pytest.fixture(scope="session")
 def small_realizable():
     """Every realizable enhanced sequence with u <= 3, |k| <= 2."""

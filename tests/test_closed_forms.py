@@ -1,29 +1,16 @@
-"""Engine-free checks: the determinant |nabla(2i)| = |e_{u-1}(k)|."""
+"""Engine-free checks: the determinant |nabla(2i)| = |e_{u-1}(k)|, and the
+mirror identity nabla(mirror) = nabla(-z)."""
 
 import random
 
 import pytest
 
 from closed_form_reference import determinant_identity_holds, elementary_u_minus_1
+from conftest import random_deep_words, random_realizable
 from pretzellinks.diagrams import oracle_conway
-from pretzellinks.polynomials import statesum_conway
-from pretzellinks.sequences import EnhancedSequence, Entry, R, S
-
-
-def _random_realizable(rng, u, max_k, min_k=1, all_odd=False):
-    """A realizable user word: with no even entry all s (or all r when u is
-    even); otherwise every odd entry r and an even number of r."""
-    values = [k for k in range(min_k, max_k + 1) if k % 2 or not all_odd]
-    ks = [rng.choice((-1, 1)) * rng.choice(values) for _ in range(u)]
-    evens = [i for i, k in enumerate(ks) if k % 2 == 0]
-    if not evens:
-        tags = [R if u % 2 == 0 and rng.random() < 0.5 else S] * u
-    else:
-        tags = [R if k % 2 else rng.choice((S, R)) for k in ks]
-        if tags.count(R) % 2:
-            i = rng.choice(evens)
-            tags[i] = S if tags[i] is R else R
-    return EnhancedSequence(tuple(map(Entry, ks, tags)))
+from pretzellinks.polynomials import statesum_conway, twistreduce_conway
+from pretzellinks.sequences import EnhancedSequence, Entry
+from pretzellinks.zpoly import ZPoly
 
 
 def test_elementary_u_minus_1():
@@ -39,26 +26,48 @@ def test_determinant_identity_oracle_large(text):
 
 
 def test_determinant_identity_oracle_deep():
-    """Deep-shaped words: few regions, many twists.  A Seifert matrix has
-    at most one row per crossing, so total |k| <= 50 keeps it at most 50
-    rows; the n = 59 word above is the large case."""
-    rng = random.Random(1933)
-    done = 0
-    while done < 20:
-        s = _random_realizable(rng, rng.randint(2, 4), 20, min_k=7)
-        if sum(abs(e.k) for e in s) > 50:
-            continue
+    """Deep-shaped words: few regions, many twists; the n = 59 word above
+    is the large case."""
+    for s in random_deep_words(random.Random(1933)):
         assert determinant_identity_holds(s, oracle_conway(s)), str(s)
-        done += 1
 
 
 def test_determinant_identity_statesum():
     """Small words of every shape, then words far past the oracle's and
     the twist recursion's reach, up to u = 200."""
     rng = random.Random(1978)
-    words = [_random_realizable(rng, rng.randint(1, 12), 30, all_odd=rng.random() < 0.2)
+    words = [random_realizable(rng, rng.randint(1, 12), 30, all_odd=rng.random() < 0.2)
              for _ in range(300)]
-    words += [_random_realizable(rng, u, 30, all_odd=all_odd)
+    words += [random_realizable(rng, u, 30, all_odd=all_odd)
               for u in (25, 50, 100, 150, 199, 200) for all_odd in (False, True)]
     for s in words:
         assert determinant_identity_holds(s, statesum_conway(s)), str(s)
+
+
+def _mirror(s):
+    """Negate every k and keep the tags."""
+    return EnhancedSequence(tuple(Entry(-e.k, e.eps) for e in s))
+
+
+def _at_minus_z(nabla):
+    """nabla(-z): every odd coefficient changes sign."""
+    return ZPoly([-c if i % 2 else c for i, c in enumerate(nabla.coeffs)])
+
+
+def test_mirror_identity():
+    """Mirroring gives exactly nabla(-z), so the signs of the odd
+    coefficients are checked, which |nabla(2i)| cannot see: all three
+    engines on sweep-shaped words, the oracle and the state sum on deep
+    words, and the state sum alone up to u = 200."""
+    rng = random.Random(1970)
+    sweep = [random_realizable(rng, rng.randint(1, 6), 5) for _ in range(300)]
+    deep = random_deep_words(rng) + [EnhancedSequence.parse("10r,-9r,11r,2r")]
+    large = [random_realizable(rng, u, 30, all_odd=all_odd)
+             for u in (25, 50, 100, 200) for all_odd in (False, True)]
+    checks = [(sweep, (statesum_conway, twistreduce_conway, oracle_conway)),
+              (deep, (statesum_conway, oracle_conway)),
+              (large, (statesum_conway,))]
+    for words, engines in checks:
+        for s in words:
+            for engine in engines:
+                assert engine(_mirror(s)) == _at_minus_z(engine(s)), (str(s), engine)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from bareiss_reference import dense_laurent_det
-from conftest import all_plain_sequences, parity_law_ok, seq
+from bareiss_reference import dense_laurent_det, x_form_conway
+from conftest import all_plain_sequences, parity_law_ok, random_deep_words, seq
 from pretzellinks import zpoly
 from pretzellinks.diagrams import (
     Diagram,
@@ -184,13 +184,40 @@ def test_conway_from_seifert_examples():
     assert conway_from_seifert([]) == ZPoly.one()
     with pytest.raises(InvalidSequenceError):
         conway_from_seifert([[1, 2]])
-    for malformed in ([[1.5]], [[True]], [["2"]], [[1.9, 0], [0, 1]]):
+    for malformed in ([[1.5]], [[True]], [["2"]], [[1.9, 0], [0, 1]],
+                      [1, 2], None):
         with pytest.raises(InvalidSequenceError):
             conway_from_seifert(malformed)
 
 
+def _random_matrices(rng):
+    """600 integer matrices, n <= 9, entries -3..3, sparse to dense: singular
+    ones and zero leading pivots occur."""
+    for density in (0.15, 0.3, 0.6, 1.0):
+        for _ in range(150):
+            n = rng.randint(1, 9)
+            yield [[rng.randint(-3, 3) if rng.random() < density else 0
+                    for _ in range(n)] for _ in range(n)]
+
+
+def test_conway_from_seifert_matches_the_x_form():
+    """The elimination in y = x^2 against the dense one on x*V - x^-1*V^T."""
+    zeros = 0
+    for rows in _random_matrices(random.Random(1970)):
+        expected = x_form_conway(rows)
+        assert conway_from_seifert(rows) == expected, rows
+        zeros += expected.is_zero()
+    assert zeros
+    words = random_deep_words(random.Random(2009))
+    words.append(EnhancedSequence.parse("10r,-9r,11r,2r"))
+    for s in words:
+        rows = seifert_matrix(build_diagram(s)).rows
+        assert conway_from_seifert(rows) == x_form_conway(rows), str(s)
+
+
 def _laurent_form(rows):
-    """x*V - x^-1*V^T as conway_from_seifert builds it."""
+    """x*V - x^-1*V^T: the x form, with a zero between the two terms of
+    every entry."""
     n = len(rows)
     return [[LaurentZ(-1, (-rows[j][i], 0, rows[i][j])) for j in range(n)]
             for i in range(n)]
@@ -199,19 +226,14 @@ def _laurent_form(rows):
 def test_laurent_det_matches_the_dense_elimination():
     """Seeded sparse and dense integer matrices, singular ones and zero
     leading pivots included, against the loop that multiplies every pair."""
-    rng = random.Random(1968)
     singular = swapped = 0
-    for density in (0.15, 0.3, 0.6, 1.0):
-        for _ in range(150):
-            n = rng.randint(1, 9)
-            rows = [[rng.randint(-3, 3) if rng.random() < density else 0
-                     for _ in range(n)] for _ in range(n)]
-            for m in (_laurent_form(rows),
-                      [[LaurentZ.const(v) for v in row] for row in rows]):
-                swapped += m[0][0].is_zero()
-                expected = dense_laurent_det([row[:] for row in m])
-                assert _laurent_det([row[:] for row in m]) == expected, rows
-                singular += expected.is_zero()
+    for rows in _random_matrices(random.Random(1968)):
+        for m in (_laurent_form(rows),
+                  [[LaurentZ.const(v) for v in row] for row in rows]):
+            swapped += m[0][0].is_zero()
+            expected = dense_laurent_det([row[:] for row in m])
+            assert _laurent_det([row[:] for row in m]) == expected, rows
+            singular += expected.is_zero()
     assert singular and swapped
 
 
@@ -229,6 +251,22 @@ def test_laurent_det_skips_zero_products(monkeypatch):
     assert seifert_matrix(build_diagram(s)).size == 29
     oracle_conway(s)
     assert calls[0] <= 1500
+
+
+def test_oracle_forms_few_coefficient_pairs(monkeypatch):
+    """Coefficient pairs over products of two Laurent polynomials for
+    10r,-9r,11r,2r: 688,106 when every entry is a three-slot x form,
+    184,388 in y = x^2."""
+    pairs = [0]
+
+    def counted(self, other, _mul=LaurentZ.__mul__):
+        if isinstance(other, LaurentZ):
+            pairs[0] += len(self.coeffs) * len(other.coeffs)
+        return _mul(self, other)
+
+    monkeypatch.setattr(zpoly.LaurentZ, "__mul__", counted)
+    oracle_conway(EnhancedSequence.parse("10r,-9r,11r,2r"))
+    assert pairs[0] <= 250_000
 
 
 def test_seifert_matrix_split_raises():

@@ -23,7 +23,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedError,
 )
-from .sequences import EnhancedSequence, Pairing
+from .sequences import R, S, EnhancedSequence, Entry, Pairing
 from .zpoly import ZPoly
 
 
@@ -133,7 +133,11 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
 
 def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
     """The closed-form (a1, a3) of seq, checked against its polynomial."""
-    closed = polynomials.a1a3(seq)
+    return _check_closed_forms(seq, nabla, polynomials.a1a3(seq))
+
+
+def _check_closed_forms(seq: EnhancedSequence, nabla: ZPoly,
+                        closed: tuple[int, int]) -> tuple[int, int]:
     coefficients = (nabla.coefficient(1), nabla.coefficient(3))
     if closed != coefficients:
         raise InternalConsistencyError(
@@ -145,8 +149,9 @@ def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
 def _two_component_invariants(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
     """The complete self-delta invariants of a 2-component link with Conway
     polynomial nabla: (a1, a3 - a1 * total a2 of the components)."""
-    a1, a3 = _checked_a1a3(seq, nabla)
-    return a1, a3 - a1 * polynomials.component_a2_total(seq)
+    a1, a3, a2_total = polynomials.a1a3_and_component_a2(seq)
+    _check_closed_forms(seq, nabla, (a1, a3))
+    return a1, a3 - a1 * a2_total
 
 
 def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
@@ -313,14 +318,17 @@ def enumerate_classes(max_u: int, max_twist: int,
     plain part of an image of some word over such a ks.  Each realizable
     tag word over ks not yet seen is analysed once, its polynomial from the
     state sum (polynomial in u), and one row is emitted for each distinct
-    rotation or reflection of it, with the text joined from its entry
-    texts.  A set of the images emitted for this ks is enough to skip the
+    rotation or reflection of it, in any order (the rows are sorted at the
+    end), with the text joined from a table of entry texts built once per
+    call.  A set of the images emitted for this ks is enough to skip the
     rest of the orbit: the orbit's other words over ks are among them, and
     its words over other twist words are reached from no other ks, since
-    their plain parts lie in the orbit of ks.  Nothing is kept between
-    calls.  Every 2-component row is still checked against the closed
-    forms `polynomials.a1a3`: the analysed word inside `class_key`, its
-    other images here.  With `components`, other component counts are
+    their plain parts lie in the orbit of ks.  No table state is kept
+    between calls; the one thing that persists is the state sum's bounded
+    cache of per-entry resolution pairs, whose values are immutable.  Every
+    2-component row is still checked against the closed forms for (a1,
+    a3): the analysed word inside `class_key`, its other images here by
+    `polynomials.a1a3`.  With `components`, other component counts are
     skipped before any polynomial work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
@@ -341,6 +349,7 @@ def enumerate_classes(max_u: int, max_twist: int,
                 "the bounds max_u and max_twist enumerate more than "
                 f"{MAX_ENUMERATION} sequences (the limit)")
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
+    text_of = {e: str(e) for k in values for e in (Entry(k, S), Entry(k, R))}
     rows = []
     classes: dict[str, list[str]] = {}
     for u in range(1, max_u + 1):
@@ -354,20 +363,17 @@ def enumerate_classes(max_u: int, max_twist: int,
                 word = seq.entries
                 if word in seen:
                     continue
+                orbit = set(sequences.dihedral_words(word))
+                seen |= orbit
                 nabla = polynomials.statesum_conway(seq)
                 mu, key = class_key(seq, nabla)
                 fields = (mu, key, sequences.twist_surplus(seq),
                           nabla.coefficient(1), nabla.coefficient(3), str(nabla))
                 members = classes.setdefault(key, [])
-                texts = tuple(str(e) for e in word)
-                for image, parts in zip(sequences.dihedral_words(word),
-                                        sequences.dihedral_words(texts)):
-                    if image in seen:
-                        continue
-                    seen.add(image)
+                for image in orbit:
                     if mu == 2 and image != word:
                         _checked_a1a3(EnhancedSequence(image), nabla)
-                    text = ",".join(parts)
+                    text = ",".join([text_of[e] for e in image])
                     rows.append(ClassRow(text, *fields))
                     members.append(text)
     rows.sort(key=lambda r: (r.mu, r.key, r.sequence))

@@ -8,16 +8,22 @@ every orientable base word, and they are cross-checked against the diagram
 oracle.  Because the value depends only on those counts, the state sum
 groups its 2^u states into count classes with one generating polynomial
 and calls `base_conway` once per class: O(u^2) polynomial products when
-every region is odd s or inf r, O(u) otherwise.  The twist recursion takes
-each region's resolutions and coefficients from the state sum's table,
-built once per call, and still visits up to 2^u partial sequences.  The
-table's coefficients are `torus_conway` values and orientability comes
-from `sequences.orientation_data`: nothing here imports the oracle.  Closed
-forms for the first two interesting coefficients of 2-component pretzels
-are also provided.
+every region is odd s or inf r, O(u) otherwise.  Those products run on
+coefficient tuples through `zpoly.poly_mul` and `zpoly.poly_add`, the
+helpers ZPoly's own arithmetic uses, and one ZPoly is built per call.
+Both engines take each region's resolutions and coefficients from
+`_split_resolutions`, which computes each distinct entry's pair once and
+keeps it in a bounded cache; the twist recursion still visits up to 2^u
+partial sequences.  The coefficients are `torus_conway` values and
+orientability comes from `sequences.orientation_data`: nothing here
+imports the oracle.  Closed forms for the first two interesting
+coefficients of 2-component pretzels are also provided, with the knot
+components' a2 total that corrects a3.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import (
     InternalConsistencyError,
@@ -37,6 +43,7 @@ from .sequences import (
     orientation_data,
 )
 from .zpoly import ZPoly, coefficient, exact_div  # noqa: F401 (re-export)
+from .zpoly import poly_add, poly_mul
 
 
 def _diagonal_binomials(t: int, r: int, count: int):
@@ -141,6 +148,7 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
 # state sum
 
 
+@functools.lru_cache(maxsize=1024)
 def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
     """Region e's resolutions as (marked coefficient, marked entry, other
     coefficient, other entry).
@@ -153,6 +161,10 @@ def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
     By Conway's skein relation (Conway 1970) each coefficient is a (2, k)
     torus value from `torus_conway`: k - 1 and k for an r region's zero and
     1r; 1 and k - k % 2, anti-parallel, for an s region's marked and inf.
+
+    The split depends on the entry alone, and a word uses few distinct
+    entries, so each is computed once and kept in a bounded cache that
+    lives across calls; every value in it is immutable.
     """
     k = e.k
     if k is INF:
@@ -162,21 +174,6 @@ def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
     odd = k % 2
     return (ZPoly.one(), Entry(odd, S), torus_conway(k - odd, S),
             Entry(INF, R if odd else S))
-
-
-def _state(splits: list, extra: int) -> EnhancedSequence:
-    """The state that takes each region's only resolution where it has one,
-    and the marked resolution in the first `extra` regions that have two."""
-    entries = []
-    for marked, marked_entry, other, other_entry in splits:
-        if not other:
-            entries.append(marked_entry)
-        elif marked and extra > 0:
-            entries.append(marked_entry)
-            extra -= 1
-        else:
-            entries.append(other_entry)
-    return EnhancedSequence(tuple(entries), base=True)
 
 
 def statesum_conway(seq: EnhancedSequence) -> ZPoly:
@@ -200,7 +197,11 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     count j).  Class A keeps every j: O(u^2) polynomial products.  Class B
     cuts the product after t^1: O(u) products, and the state for the
     dropped class is checked to be worth 0.  `base_conway` runs on at most
-    u + 1 real states of the sequence, so the count rule lives only there.
+    u + 1 real states of the sequence, so the count rule lives only there:
+    the states take each region's only resolution where it has one, and the
+    marked one in the first j - (forced count) regions that have two.  The
+    products and the sum run on coefficient tuples (`poly_mul`,
+    `poly_add`), and one ZPoly is built at the end.
 
     A resolution keeps whether its region reverses the top bridges and which
     bottom rule it obeys (c in `orientation_data`), so every state
@@ -211,26 +212,35 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     splits = [_split_resolutions(e) for e in seq]
     class_a = any(e.eps is S and e.k is not INF and e.k % 2 for e in seq)
     cap = len(seq) if class_a else 1  # largest count kept
-    gen = [ZPoly.one()]  # gen[j]: summed coefficient of the states with count j
-    for marked, _, other, _ in splits:
-        nxt = [g * other for g in gen]
-        if marked:
-            nxt.append(ZPoly.zero())
-            for j, g in enumerate(gen):
-                nxt[j + 1] = nxt[j + 1] + g * marked
+    gen = [(1,)]  # gen[j]: summed coefficient of the states with count j
+    state = []  # the state with the fewest marked resolutions
+    forced = 0  # regions whose only resolution is the marked one
+    free = []  # regions with two resolutions, in order
+    for i, (marked, marked_entry, other, other_entry) in enumerate(splits):
+        m, o = marked.coeffs, other.coeffs
+        nxt = [poly_mul(g, o) for g in gen]
+        if m:
+            nxt.append(())
+            for j, g in enumerate(gen, 1):
+                nxt[j] = poly_add(nxt[j], poly_mul(g, m))
+            if o:
+                free.append(i)
         gen = nxt[:cap + 1]
-    forced = sum(1 for _, _, other, _ in splits if not other)
-    free = sum(1 for marked, _, other, _ in splits if marked and other)
-    total = ZPoly.zero()
-    for j in range(forced, forced + free + 1):
-        value = base_conway(_state(splits, j - forced))
+        state.append(other_entry if o else marked_entry)
+        forced += not o
+    total = ()
+    for j in range(forced, forced + len(free) + 1):
+        if j > forced:
+            i = free[j - forced - 1]
+            state[i] = splits[i][1]
+        value = base_conway(EnhancedSequence(tuple(state), base=True))
         if j > cap:
             if value:
                 raise InternalConsistencyError(
                     f"a state of {seq} with {j} zeros is worth {value}, not 0")
             break
-        total = total + gen[j] * value
-    return total
+        total = poly_add(total, poly_mul(gen[j], value.coeffs))
+    return ZPoly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +357,39 @@ def component_a2_total(seq: EnhancedSequence) -> int:
 
 
 def a1a3_even_from_sequence(seq: EnhancedSequence) -> tuple[int, int]:
-    """Exact (a1, a3) of any realizable 2-component even pretzel.
+    """Exact (a1, a3) of any realizable 2-component even pretzel (see
+    a1a3_and_component_a2)."""
+    if sum(1 for e in seq if e.is_even) != 2:
+        raise InvalidSequenceError("expected exactly two even parameters")
+    return a1a3(seq)
 
-    The two even parameters give (p, q); the odd twist total m is the sum of
+
+def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
+    """(a1, a3, total a2 of the knot components) of any realizable
+    2-component pretzel via the closed forms.
+
+    An all-odd pretzel has crossingless components.  For an even one the
+    two even parameters give (p, q); the odd twist total m is the sum of
     the odd parameters (entry positions are immaterial).  The raw two-even
     closed form computes the sequence with every odd run spread into single
     twists, whose components are unknots; spreading a run changes a3 by a1
-    times the components' a2 total, which is added back here.
+    times the components' a2 total, which is added back here.  That total
+    is computed once and returned too, since the self-delta invariant
+    subtracts it again.
     """
     evens = [e for e in seq if e.is_even]
+    if not evens:
+        return (*a1a3_odd(seq), 0)
     if len(evens) != 2:
-        raise InvalidSequenceError("expected exactly two even parameters")
+        raise UnsupportedError("closed forms require a 2-component pretzel")
     m = sum(e.k for e in seq if e.is_odd)
     first, second = evens
     a1, a3 = a1a3_even(first.k // 2, second.k // 2, first.eps, second.eps, m)
-    return a1, a3 + a1 * component_a2_total(seq)
+    a2_total = component_a2_total(seq)
+    return a1, a3 + a1 * a2_total, a2_total
 
 
 def a1a3(seq: EnhancedSequence) -> tuple[int, int]:
     """(a1, a3) of any realizable 2-component pretzel via the closed forms."""
-    evens = sum(1 for e in seq if e.is_even)
-    if evens == 0:
-        return a1a3_odd(seq)
-    if evens == 2:
-        return a1a3_even_from_sequence(seq)
-    raise UnsupportedError("closed forms require a 2-component pretzel")
+    a1, a3, _ = a1a3_and_component_a2(seq)
+    return a1, a3

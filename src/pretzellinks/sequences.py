@@ -72,11 +72,11 @@ class Entry(NamedTuple):
 
     @property
     def is_even(self) -> bool:
-        return not self.is_inf and self.k % 2 == 0
+        return self.k is not INF and self.k % 2 == 0
 
     @property
     def is_odd(self) -> bool:
-        return not self.is_inf and self.k % 2 != 0
+        return self.k is not INF and self.k % 2 != 0
 
     def __str__(self) -> str:
         return f"{'inf' if self.is_inf else self.k}{self.eps}"
@@ -218,14 +218,14 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
     top = []
     side = 1  # top bridge right of this region, relative to the one left of region 0
     plus = minus = False
-    for e in seq.entries:
-        if e.k is INF:
-            c_plus = e.eps is R
-        elif e.eps is R:
+    for k, eps in seq.entries:
+        if k is INF:
+            c_plus = eps is R
+        elif eps is R:
             side = -side
             c_plus = False
         else:
-            c_plus = e.k % 2 != 0
+            c_plus = k % 2 != 0
         if c_plus:
             plus = True
         else:
@@ -237,9 +237,10 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
     if plus and minus:
         raise UnrealizableOrientationError(
             f"bottom-bridge orientations are inconsistent for {seq}")
-    pin = top[0]  # the first top bridge is positive
-    c = pin if plus else -pin
-    return tuple(pin * t for t in top), tuple(c * t for t in top)
+    # Pin the first top bridge positive; then bot = c * top is the pinned
+    # top itself when c = +1 and its negation when c = -1.
+    pinned = tuple(top) if top[0] == 1 else tuple([-t for t in top])
+    return pinned, pinned if plus else tuple([-t for t in pinned])
 
 
 def is_realizable(seq: EnhancedSequence) -> bool:

@@ -4,12 +4,15 @@ ZPoly is a dense, immutable polynomial with arbitrary-precision integer
 coefficients.  LaurentZ is the companion Laurent polynomial in an auxiliary
 variable x, used only while evaluating determinants of the form
 det(x*V - x^-1*V^T); its result is rewritten exactly in z = x - x^-1.
+Both multiply through `poly_mul`, and ZPoly adds through `poly_add`: one
+convolution and one sum on plain coefficient sequences, which the state sum
+also calls directly so that it builds one ZPoly per call.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalConsistencyError, ParseError
 
@@ -34,6 +37,42 @@ def binomial(alpha: int, n: int) -> int:
     for i in range(2, n + 1):
         fact *= i
     return exact_div(num, fact)
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Coefficients of the product of two coefficient sequences, lowest
+    degree first; ZPoly and LaurentZ products both come here.
+
+    An empty factor gives ().  The state sum starts from 1 and marks each
+    s region by 1, so most of its products have a factor of exactly (1,):
+    the other factor is returned as it is.  The result may be an argument,
+    so it must not be mutated.
+    """
+    if not a or not b:
+        return ()
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def poly_add(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
+    """Coefficients of the sum of two coefficient sequences, lowest degree
+    first; the result may end in zeros, and may be an argument."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
 
 
 class ZPoly:
@@ -88,13 +127,7 @@ class ZPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ZPoly(out)
+        return ZPoly(poly_add(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         return self + (-other)
@@ -107,21 +140,7 @@ class ZPoly:
             return ZPoly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, ZPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return ZPoly()
-        # The state sum starts from 1 and marks each s region by 1, so most
-        # of its products have a factor of 1: return the other factor.
-        if a == (1,):
-            return other
-        if b == (1,):
-            return self
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return ZPoly(out)
+        return ZPoly(poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -288,15 +307,7 @@ class LaurentZ:
             return LaurentZ(self.lo, tuple(c * other for c in self.coeffs))
         if not isinstance(other, LaurentZ):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return LaurentZ.zero()
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return LaurentZ(self.lo + other.lo, out)
+        return LaurentZ(self.lo + other.lo, poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from closed_form_reference import determinant_identity_holds
 from conftest import parity_law_ok, seq
 from statesum_reference import statesum_reference
 from pretzellinks import diagrams
@@ -149,6 +150,15 @@ def test_statesum_matches_the_state_walk_on_the_sweep(engine_sweep):
     for s, _, nabla in results:
         assert statesum_reference(s) == nabla, str(s)
     print(f"\nstate walk = statesum_conway on {len(results)} sequences")
+
+
+def test_determinant_identity_on_the_sweep(engine_sweep):
+    # |nabla(2i)| = |e_{u-1}(k)| on every criterion-3 result: a closed form
+    # that none of the three engines computes.
+    results, _, _ = engine_sweep
+    for s, _, nabla in results:
+        assert determinant_identity_holds(s, nabla), str(s)
+    print(f"\ndeterminant identity on {len(results)} sweep values")
 
 
 def test_criterion_4_closed_forms(engine_sweep):

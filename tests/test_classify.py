@@ -466,6 +466,19 @@ def test_enumerate_classes_checks_every_two_component_row(monkeypatch):
         enumerate_classes(2, 2)
 
 
+def test_two_component_key_reads_the_component_a2_total_once(monkeypatch):
+    calls = []
+    total = polynomials.component_a2_total
+
+    def counting(s):
+        calls.append(s)
+        return total(s)
+
+    monkeypatch.setattr(polynomials, "component_a2_total", counting)
+    assert class_key(K1) == (2, "a1=0;c3=-9")
+    assert calls == [K1]
+
+
 def test_enumerate_classes_component_filter():
     full = enumerate_classes(3, 2)
     for n in (1, 2, 3):

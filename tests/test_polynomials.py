@@ -325,6 +325,22 @@ def test_twistreduce_golden():
     assert digest.hexdigest() == GOLDEN_TWISTREDUCE_DIGEST
 
 
+def test_goldens_hold_with_a_cold_and_a_warm_split_cache():
+    """The split cache is bounded and changes no value: each golden passes
+    from an empty cache, then again from the cache it filled, which the
+    second pass reads without a miss."""
+    cache = polynomials._split_resolutions
+    assert cache.cache_info().maxsize is not None
+    for golden in (test_statesum_base_words_golden, test_twistreduce_golden):
+        cache.cache_clear()
+        golden()
+        cold = cache.cache_info()
+        assert 0 < cold.misses <= cold.maxsize and cold.hits > 0
+        golden()
+        warm = cache.cache_info()
+        assert warm.misses == cold.misses and warm.hits > cold.hits
+
+
 def test_twistreduce_builds_one_table_per_call(monkeypatch):
     """phi/psi run at most once per region per call, and the memo's visits
     (dihedral_canonical and base_conway calls) are pinned."""

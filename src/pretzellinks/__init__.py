@@ -19,7 +19,6 @@ from .sequences import (
     TwistType,
     canonical_key,
     component_count,
-    cyc_equivalent,
     enumerate_enhancements,
     even_subsequence,
     is_erasable,
@@ -28,7 +27,6 @@ from .sequences import (
     pairing_respects_orientation,
     parse_plain,
     twist_surplus,
-    self_delta_normal_form,
 )
 from .zpoly import ZPoly, binomial, coefficient
 from .diagrams import (

@@ -1,10 +1,12 @@
 """Equivalence deciders and invariant reports for pretzel links.
 
-Delta-equivalence is decided by component count and linking numbers;
-self-delta-equivalence by the canonical even-subsequence key and twist surplus for
-three or more components, and for two components by the complete coefficient
-invariants (a1, a3 - a1 * sum of component a2), the correction being nonzero
-exactly when an odd run side-closes into a nontrivial torus-knot component.
+Delta-equivalence is decided by component count and linking numbers.
+Self-delta classes are stated once, by `_class_invariant`, which
+`class_key` formats and `self_delta_equivalent` compares: the canonical
+even-subsequence key and twist surplus for three or more components, and
+for two the complete coefficient invariants (a1, a3 - a1 * sum of component
+a2), the correction being nonzero exactly when an odd run side-closes into
+a nontrivial torus-knot component.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import io
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import diagrams, polynomials, sequences
 from .errors import (
@@ -56,7 +58,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
     if mu == 2:
-        _checked_a1a3(seq, nabla)
+        _closed_forms(seq, nabla)
     has_even = any(e.is_even for e in seq)
     key = sequences.canonical_key(sequences.even_subsequence(seq)) if has_even else None
     return InvariantReport(
@@ -108,50 +110,49 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
     for s in (a, b):
         if not sequences.is_realizable(s):
             raise InvalidSequenceError(f"{s} admits no oriented diagram")
-    mu_a = sequences.component_count(a.plain())
-    mu_b = sequences.component_count(b.plain())
+    mu_a, mu_b = (sequences.component_count(s.plain()) for s in (a, b))
     if mu_a != mu_b:
         return SelfDeltaResult(False, "component-count",
                                certificate=(mu_a, mu_b))
     if mu_a == 1:
         return SelfDeltaResult(True, "knot")
+    (_, inv_a), (_, inv_b) = (
+        _class_invariant(s, polynomials.twistreduce_conway) for s in (a, b))
     if mu_a == 2:
-        inv_a = _two_component_invariants(a, polynomials.twistreduce_conway(a))
-        inv_b = _two_component_invariants(b, polynomials.twistreduce_conway(b))
         return SelfDeltaResult(inv_a == inv_b, "two-component",
                                certificate=(inv_a, inv_b))
-    key_a = sequences.canonical_key(sequences.even_subsequence(a))
-    key_b = sequences.canonical_key(sequences.even_subsequence(b))
-    surplus_a, surplus_b = sequences.twist_surplus(a), sequences.twist_surplus(b)
-    if key_a.entries != key_b.entries or surplus_a != surplus_b:
-        return SelfDeltaResult(False, "even-key",
-                               certificate=((str(key_a), surplus_a), (str(key_b), surplus_b)))
-    match = _matching_transform(a, b)
+    if inv_a != inv_b:
+        return SelfDeltaResult(False, "even-key", certificate=(inv_a, inv_b))
     return SelfDeltaResult(True, "even-key",
-                           certificate=(str(key_a), surplus_a, match))
+                           certificate=(*inv_a, _matching_transform(a, b)))
 
 
-def _checked_a1a3(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
-    """The closed-form (a1, a3) of seq, checked against its polynomial."""
-    return _check_closed_forms(seq, nabla, polynomials.a1a3(seq))
+def _class_invariant(seq: EnhancedSequence,
+                     conway: Callable[[EnhancedSequence], ZPoly]) -> tuple[int, tuple]:
+    """(mu, invariant), equal for two sequences exactly when they are
+    self-delta-equivalent: () for a knot; for two components (a1, a3 - a1 *
+    total a2 of the components), checked against conway(seq); for more,
+    (canonical even key text, twist surplus)."""
+    mu = sequences.component_count(seq.plain())
+    if mu == 1:
+        return mu, ()
+    if mu == 2:
+        a1, a3, a2_total = _closed_forms(seq, conway(seq))
+        return mu, (a1, a3 - a1 * a2_total)
+    key = sequences.canonical_key(sequences.even_subsequence(seq))
+    return mu, (str(key), sequences.twist_surplus(seq))
 
 
-def _check_closed_forms(seq: EnhancedSequence, nabla: ZPoly,
-                        closed: tuple[int, int]) -> tuple[int, int]:
-    coefficients = (nabla.coefficient(1), nabla.coefficient(3))
-    if closed != coefficients:
-        raise InternalConsistencyError(
-            f"closed forms {closed} disagree with the polynomial's "
-            f"{coefficients} on {seq}")
-    return closed
-
-
-def _two_component_invariants(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int]:
-    """The complete self-delta invariants of a 2-component link with Conway
-    polynomial nabla: (a1, a3 - a1 * total a2 of the components)."""
+def _closed_forms(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int, int]:
+    """(a1, a3, total a2 of the components) of a 2-component seq by the
+    closed forms, with (a1, a3) checked against its polynomial nabla."""
     a1, a3, a2_total = polynomials.a1a3_and_component_a2(seq)
-    _check_closed_forms(seq, nabla, (a1, a3))
-    return a1, a3 - a1 * a2_total
+    coefficients = (nabla.coefficient(1), nabla.coefficient(3))
+    if (a1, a3) != coefficients:
+        raise InternalConsistencyError(
+            f"closed forms {(a1, a3)} disagree with the polynomial's "
+            f"{coefficients} on {seq}")
+    return a1, a3, a2_total
 
 
 def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
@@ -168,9 +169,10 @@ def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
 def self_delta_trivial_2comp(seq: EnhancedSequence) -> bool:
     """Whether a 2-component pretzel is self-delta-equivalent to the trivial
     2-component link (a1 = a3 = 0), by the state sum's polynomial."""
-    if sequences.component_count(seq.plain()) != 2:
+    mu, invariant = _class_invariant(seq, polynomials.statesum_conway)
+    if mu != 2:
         raise UnsupportedError("triviality test is for 2-component pretzels")
-    return _checked_a1a3(seq, polynomials.statesum_conway(seq)) == (0, 0)
+    return invariant == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +184,10 @@ def necessary_data(report: InvariantReport) -> tuple[int, int, int]:
     return (report.mu, report.a_lower, report.a_upper_corrected)
 
 
-def necessary_data_match(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
-    """Compare necessary-condition data (not sufficient in general)."""
-    return x == y
-
-
 def self_delta_necessary(a: EnhancedSequence, b: EnhancedSequence) -> bool:
-    """Necessary condition for self-delta-equivalence from coefficient data."""
-    return necessary_data_match(necessary_data(invariants(a)),
-                                necessary_data(invariants(b)))
+    """Necessary condition for self-delta-equivalence from coefficient data
+    (not sufficient in general)."""
+    return necessary_data(invariants(a)) == necessary_data(invariants(b))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,7 @@ def conway_vanishing_predict(seq: EnhancedSequence) -> bool:
 # bulk classification
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(NamedTuple):
     sequence: str
     mu: int
     key: str
@@ -270,14 +266,13 @@ class ClassTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["sequence", "mu", "key", "surplus", "a1", "a3", "conway"])
-        for r in self.rows:
-            writer.writerow([r.sequence, r.mu, r.key, r.surplus, r.a1, r.a3, r.conway])
+        writer.writerow(ClassRow._fields)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_json(self) -> str:
         return json.dumps({
-            "rows": [r.__dict__ for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
             "classes": {k: list(v) for k, v in self.classes},
         }, indent=2)
 
@@ -288,16 +283,13 @@ def class_key(seq: EnhancedSequence, nabla: Optional[ZPoly] = None) -> tuple[int
     A 2-component key needs the Conway polynomial: pass it as nabla when it
     is already known, else it is computed by the state sum.
     """
-    mu = sequences.component_count(seq.plain())
+    conway = polynomials.statesum_conway if nabla is None else lambda _: nabla
+    mu, invariant = _class_invariant(seq, conway)
     if mu == 1:
         return mu, "knot"
     if mu == 2:
-        if nabla is None:
-            nabla = polynomials.statesum_conway(seq)
-        a1, c3 = _two_component_invariants(seq, nabla)
-        return mu, f"a1={a1};c3={c3}"
-    key = sequences.canonical_key(sequences.even_subsequence(seq))
-    return mu, f"even={key};surplus={sequences.twist_surplus(seq)}"
+        return mu, "a1={};c3={}".format(*invariant)
+    return mu, "even={};surplus={}".format(*invariant)
 
 
 # Largest bound volume (enhanced sequences) enumerate_classes accepts.
@@ -327,9 +319,9 @@ def enumerate_classes(max_u: int, max_twist: int,
     between calls; the one thing that persists is the state sum's bounded
     cache of per-entry resolution pairs, whose values are immutable.  Every
     2-component row is still checked against the closed forms for (a1,
-    a3): the analysed word inside `class_key`, its other images here by
-    `polynomials.a1a3`.  With `components`, other component counts are
-    skipped before any polynomial work.
+    a3) by `_closed_forms`: the analysed word inside `class_key`, its other
+    images here.  With `components`, other component counts are skipped
+    before any polynomial work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
     ResourceLimitError when the bounds span more than MAX_ENUMERATION
@@ -372,7 +364,7 @@ def enumerate_classes(max_u: int, max_twist: int,
                 members = classes.setdefault(key, [])
                 for image in orbit:
                     if mu == 2 and image != word:
-                        _checked_a1a3(EnhancedSequence(image), nabla)
+                        _closed_forms(EnhancedSequence(image), nabla)
                     text = ",".join([text_of[e] for e in image])
                     rows.append(ClassRow(text, *fields))
                     members.append(text)

@@ -42,8 +42,7 @@ from .sequences import (
     is_realizable,
     orientation_data,
 )
-from .zpoly import ZPoly, coefficient, exact_div  # noqa: F401 (re-export)
-from .zpoly import poly_add, poly_mul
+from .zpoly import ZPoly, exact_div, poly_add, poly_mul
 
 
 def _diagonal_binomials(t: int, r: int, count: int):

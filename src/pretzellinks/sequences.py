@@ -21,7 +21,6 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
     UnrealizableOrientationError,
-    UnsupportedError,
 )
 
 
@@ -307,13 +306,6 @@ def dihedral_words(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
             yield word[t:] + word[:t]
 
 
-def cyc_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
-    """Equality of cyclic words up to rotation and reflection."""
-    if len(a) != len(b):
-        return False
-    return any(word == b.entries for word in dihedral_words(a.entries))
-
-
 def _entry_sort_key(e: Entry):
     # INF sorts after all integers; S before R.
     return (1, 0, int(e.eps)) if e.k is INF else (0, e.k, int(e.eps))
@@ -386,14 +378,3 @@ def orientation_respecting_pairing(seq: EnhancedSequence) -> Optional[Pairing]:
     """A cancelling pairing that also preserves types, if one exists."""
     return _cancelling_pairing([(e.k, e.eps) for e in seq])
 
-
-def self_delta_normal_form(seq: EnhancedSequence) -> tuple[EnhancedSequence, int]:
-    """Standard all-even sequence and twist total m classifying seq up to
-    self-delta-equivalence (three or more components only)."""
-    mu = component_count(seq.plain())
-    if mu < 3:
-        raise UnsupportedError("normal form applies to >= 3 components")
-    if not is_realizable(seq):
-        raise InvalidSequenceError("sequence is not realizable")
-    standard = normalize_even(even_subsequence(seq))
-    return standard, twist_surplus(seq)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -17,7 +18,6 @@ from pretzellinks.classify import (
     enumerate_classes,
     invariants,
     necessary_data,
-    necessary_data_match,
     self_delta_necessary,
     self_delta_equivalent,
     self_delta_trivial_2comp,
@@ -267,6 +267,8 @@ def test_self_delta_trivial_examples():
     assert self_delta_trivial_2comp(seq((2, S), (-2, S)))
     with pytest.raises(UnsupportedError):
         self_delta_trivial_2comp(seq((1, S), (1, S), (1, S)))
+    with pytest.raises(UnsupportedError):
+        self_delta_trivial_2comp(seq((2, S), (2, S), (2, S)))
 
 
 def test_slice_shape_examples():
@@ -299,6 +301,29 @@ def test_conway_vanishing_examples():
 # -- necessary conditions ------------------------------------------------------------
 
 
+def test_self_delta_equivalent_agrees_with_class_key_on_every_small_pair(monkeypatch):
+    # Every same-length pair of dihedral-orbit representatives with u <= 4
+    # and |k| <= 3, each pair once and each word with itself.  The twist
+    # recursion is memoized here, so each word's polynomial is computed once
+    # and the decision itself runs on all 96,788 pairs.
+    monkeypatch.setattr(polynomials, "twistreduce_conway",
+                        functools.cache(polynomials.twistreduce_conway))
+    values = [k for k in range(-3, 4) if k]
+    pairs = equivalent = 0
+    for u in range(1, 5):
+        reps = [s for ks in itertools.product(values, repeat=u)
+                for s in enumerate_enhancements(ks)
+                if dihedral_canonical(s.entries) == s.entries]
+        keys = [class_key(s) for s in reps]
+        for i, a in enumerate(reps):
+            for j in range(i, len(reps)):
+                result = self_delta_equivalent(a, reps[j])
+                assert result.equivalent == (keys[i] == keys[j]), (str(a), str(reps[j]))
+                pairs += 1
+                equivalent += result.equivalent
+    assert (pairs, equivalent) == (96_788, 5_676)
+
+
 def test_self_delta_necessary_on_fixture_pair():
     assert self_delta_necessary(A, B)
     assert self_delta_necessary(A, A)
@@ -311,7 +336,7 @@ def test_necessary_data_handles_non_pretzel_inputs():
     # since neither is a nonzero-parameter pretzel.
     trivial3 = (3, 0, 0)
     hopf_plus_unknot = (3, 0, 0)
-    assert necessary_data_match(trivial3, hopf_plus_unknot)
+    assert trivial3 == hopf_plus_unknot
     lk_trivial = ((0, 0, 0), (0, 0, 0), (0, 0, 0))
     lk_hopf = ((0, 1, 0), (1, 0, 0), (0, 0, 0))
     assert lk_trivial != lk_hopf
@@ -459,9 +484,9 @@ def test_enumerate_classes_checks_every_two_component_row(monkeypatch):
     # 2s,-2s is a later row of the orbit of -2s,2s: its analysis is reused,
     # but its closed forms are still checked.
     from pretzellinks import polynomials
-    closed = polynomials.a1a3
-    monkeypatch.setattr(polynomials, "a1a3", lambda s: (
-        (99, 99) if str(s) == "2s,-2s" else closed(s)))
+    closed = polynomials.a1a3_and_component_a2
+    monkeypatch.setattr(polynomials, "a1a3_and_component_a2", lambda s: (
+        (99, 99, 0) if str(s) == "2s,-2s" else closed(s)))
     with pytest.raises(InternalConsistencyError, match="2s,-2s"):
         enumerate_classes(2, 2)
 

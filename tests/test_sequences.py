@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import seq
-from pretzellinks.errors import InvalidSequenceError, ParseError, UnsupportedError
+from pretzellinks.classify import class_key
+from pretzellinks.errors import InvalidSequenceError, ParseError
 from pretzellinks.sequences import (
     INF,
     EnhancedSequence,
@@ -14,7 +15,6 @@ from pretzellinks.sequences import (
     _entry_sort_key,
     canonical_key,
     component_count,
-    cyc_equivalent,
     dihedral_canonical,
     dihedral_words,
     enumerate_enhancements,
@@ -26,7 +26,6 @@ from pretzellinks.sequences import (
     pairing_respects_orientation,
     parse_plain,
     twist_surplus,
-    self_delta_normal_form,
 )
 
 nonzero = st.integers(-6, 6).filter(lambda k: k != 0)
@@ -135,19 +134,29 @@ def test_normalize_even_idempotent(pairs):
 # -- cyclic equivalence and canonical keys -------------------------------
 
 
+def same_orbit(a, b):
+    """Cyclic equivalence: b is a rotation or reflection of a."""
+    return b.entries in set(dihedral_words(a.entries))
+
+
 def test_cyc_equivalent_examples():
-    assert cyc_equivalent(seq((4, S), (6, R), (2, S)), seq((6, R), (2, S), (4, S)))
-    assert cyc_equivalent(seq((2, S), (4, R), (6, S)), seq((6, S), (4, R), (2, S)))
-    assert not cyc_equivalent(seq((2, S), (4, S)), seq((2, S), (6, S)))
+    # Cyclic words are equivalent exactly when their dihedral_canonical agree.
+    def canon(*pairs):
+        return dihedral_canonical(seq(*pairs).entries)
+
+    assert canon((4, S), (6, R), (2, S)) == canon((6, R), (2, S), (4, S))
+    assert canon((2, S), (4, R), (6, S)) == canon((6, S), (4, R), (2, S))
+    assert canon((2, S), (4, S)) != canon((2, S), (6, S))
 
 
 @given(enhanced_seqs, enhanced_seqs, enhanced_seqs)
 def test_cyc_equivalence_relation(a, b, c):
-    assert cyc_equivalent(a, a)
-    if cyc_equivalent(a, b):
-        assert cyc_equivalent(b, a)
-        if cyc_equivalent(b, c):
-            assert cyc_equivalent(a, c)
+    assert same_orbit(a, a)
+    assert same_orbit(a, b) == (dihedral_canonical(a.entries) == dihedral_canonical(b.entries))
+    if same_orbit(a, b):
+        assert same_orbit(b, a)
+        if same_orbit(b, c):
+            assert same_orbit(a, c)
 
 
 def test_canonical_key_examples():
@@ -170,8 +179,7 @@ def test_canonical_key_separates_orbits_exhaustively():
             if len(a) != len(b):
                 continue
             same_key = canonical_key(a).entries == canonical_key(b).entries
-            same_orbit = cyc_equivalent(normalize_even(a), normalize_even(b))
-            assert same_key == same_orbit
+            assert same_key == same_orbit(normalize_even(a), normalize_even(b))
 
 
 @given(enhanced_seqs)
@@ -259,14 +267,15 @@ def test_orientation_respecting_pairing():
 
 
 def test_self_delta_normal_form_examples():
-    std, m = self_delta_normal_form(seq((4, S), (5, R), (6, R), (-2, R), (-3, R)))
-    assert std == seq((4, S), (6, R), (2, S)) and m == 1
-    std, m = self_delta_normal_form(seq((2, S), (4, S), (6, S)))
-    assert std == seq((2, S), (4, S), (6, S)) and m == 0
-    std, m = self_delta_normal_form(seq((2, S), (4, S), (-2, S)))
-    assert std == seq((2, S), (4, S), (2, R)) and m == -1
-    with pytest.raises(UnsupportedError):
-        self_delta_normal_form(seq((1, S), (1, S)))
+    # With three or more components the class key is the normal form: the
+    # canonical even key (-2 read as 2 of the other type) and twist surplus.
+    a = seq((4, S), (5, R), (6, R), (-2, R), (-3, R))
+    assert class_key(a) == (3, "even=2s,4s,6r;surplus=1")
+    assert class_key(EnhancedSequence(a.entries[2:] + a.entries[:2])) == class_key(a)
+    assert class_key(seq((2, S), (4, S), (6, S))) == (3, "even=2s,4s,6s;surplus=0")
+    assert class_key(seq((2, S), (4, S), (-2, S))) == (3, "even=2s,2r,4s;surplus=-1")
+    # Two components are keyed by their coefficient invariants instead.
+    assert class_key(seq((1, S), (1, S))) == (2, "a1=-1;c3=0")
 
 
 # -- parsing and validation -------------------------------------------------

@@ -42,9 +42,7 @@ from .diagrams import (
     skein_checks,
 )
 from .polynomials import (
-    a1a3,
     a1a3_even,
-    a1a3_even_from_sequence,
     a1a3_odd,
     base_conway,
     phi_poly,

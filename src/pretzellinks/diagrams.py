@@ -7,8 +7,10 @@ propagated from a positive first top bridge.  The oracle computes a Seifert
 matrix for the surface obtained by orientation-respecting smoothing and
 evaluates det(x*V - x^-1*V^T) exactly, rewritten in z = x - x^-1.  Factoring
 x^-1 out of each of the n rows gives det(x*V - x^-1*V^T) = x^-n *
-det(y*V - V^T) at y = x^2, so the elimination runs in y.
-`component_conway(diagram, j)` takes a built
+det(y*V - V^T) at y = x^2, so the elimination runs in Z[y], on plain
+coefficient sequences and the `zpoly` kernels; one LaurentZ is built per
+determinant, for the rewrite in z.  Nothing here imports the resolution
+engines in `polynomials`.  `component_conway(diagram, j)` takes a built
 diagram and evaluates the side-closure of component j with the oracle, so a
 caller that needs every component builds the full diagram once.
 
@@ -30,7 +32,14 @@ from .errors import (
     SplitDiagramError,
 )
 from .sequences import INF, EnhancedSequence, Entry, R, S, orientation_data
-from .zpoly import LaurentZ, ZPoly, exact_div
+from .zpoly import (
+    LaurentZ,
+    ZPoly,
+    exact_div,
+    poly_add,
+    poly_exact_div,
+    poly_mul,
+)
 
 # ---------------------------------------------------------------------------
 # diagram construction
@@ -346,7 +355,8 @@ def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPol
 
     Factoring x^-1 out of each of the n rows gives
     det(x*V - x^-1*V^T) = x^-n * P(x^2) with P(y) = det(y*V - V^T), so the
-    elimination runs on two-term entries in y = x^2.
+    elimination runs on two-term entries in y = x^2, and only the final
+    x^-n * P(x^2) is a LaurentZ.
     """
     if isinstance(matrix, SeifertMatrix):
         rows = matrix.rows
@@ -365,49 +375,58 @@ def conway_from_seifert(matrix: SeifertMatrix | Sequence[Sequence[int]]) -> ZPol
             raise InvalidSequenceError("Seifert matrix must be square")
     if n == 0:
         return ZPoly.one()
-    p = _laurent_det([[LaurentZ(0, (-rows[j][i], rows[i][j])) for j in range(n)]
+    p = _bareiss_det([[_y_entry(-rows[j][i], rows[i][j]) for j in range(n)]
                       for i in range(n)])
-    spread = [0] * (2 * len(p.coeffs) - 1)  # empty when P is zero
-    spread[::2] = p.coeffs
-    return LaurentZ(2 * p.lo - n, spread).substitute_z()
+    spread = [0] * (2 * len(p) - 1)  # empty when P is zero
+    spread[::2] = p
+    return LaurentZ(-n, spread).substitute_z()
 
 
-def _laurent_det(m: list[list[LaurentZ]]) -> LaurentZ:
-    """Fraction-free (Bareiss) determinant over the Laurent ring.
+def _y_entry(c0: int, c1: int) -> tuple[int, ...]:
+    """c0 + c1*y as a coefficient tuple that ends in a nonzero coefficient."""
+    return (c0, c1) if c1 else (c0,) if c0 else ()
 
-    Step k updates m[i][j] to (m[i][j] * pivot - m[i][k] * m[k][j]) / prev.
-    No product with a zero factor is formed: where m[i][k] or m[k][j] is
-    zero the update is m[i][j] * pivot / prev, so an entry that is zero as
-    well stays zero.  Seifert matrices are banded with one ring row and
-    column, so most entries take one of these shortcuts.
+
+def _bareiss_det(m: list[list[Sequence[int]]]) -> Sequence[int]:
+    """Fraction-free (Bareiss 1968) determinant over Z[y].
+
+    Every entry is a coefficient sequence, lowest degree first, that ends
+    in a nonzero coefficient (zero is ()); so is the result.  Step k
+    updates m[i][j] to (m[i][j] * pivot - m[i][k] * m[k][j]) / prev, and
+    each quotient is exact in Z[y].  No product with a zero factor is
+    formed: where m[i][k] or m[k][j] is zero the update is
+    m[i][j] * pivot / prev, so an entry that is zero as well stays zero.
+    Seifert matrices are banded with one ring row and column, so most
+    entries take one of these shortcuts.
     """
     n = len(m)
     sign = 1
-    prev = LaurentZ.const(1)
+    prev = (1,)
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot is None:
-                return LaurentZ.zero()
+                return ()
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         top = m[k]
         piv = top[k]
         for row in m[k + 1:]:
-            lead = row[k]
+            neg_lead = [-c for c in row[k]]
             for j in range(k + 1, n):
                 a, b = row[j], top[j]
-                if lead.is_zero() or b.is_zero():
-                    if a.is_zero():
+                if not neg_lead or not b:
+                    if not a:
                         continue
-                    num = a * piv
-                elif a.is_zero():
-                    num = -(lead * b)
+                    num = poly_mul(a, piv)
+                elif not a:
+                    num = poly_mul(neg_lead, b)
                 else:
-                    num = a * piv - lead * b
-                row[j] = num.exact_div(prev)
+                    num = poly_add(poly_mul(a, piv), poly_mul(neg_lead, b))
+                row[j] = poly_exact_div(num, prev)
         prev = piv
-    return m[n - 1][n - 1] * sign
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else [-c for c in det]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ every orientable base word, and they are cross-checked against the diagram
 oracle.  Because the value depends only on those counts, the state sum
 groups its 2^u states into count classes with one generating polynomial
 and calls `base_conway` once per class: O(u^2) polynomial products when
-every region is odd s or inf r, O(u) otherwise.  Those products run on
-coefficient tuples through `zpoly.poly_mul` and `zpoly.poly_add`, the
-helpers ZPoly's own arithmetic uses, and one ZPoly is built per call.
-Both engines take each region's resolutions and coefficients from
+every region is odd s or inf r, O(u) otherwise.  Both engines multiply
+and add plain coefficient sequences through `zpoly.poly_mul` and
+`zpoly.poly_add`, the kernels ZPoly's own arithmetic uses, and build one
+ZPoly per call.  Both take each region's resolutions and coefficients from
 `_split_resolutions`, which computes each distinct entry's pair once and
 keeps it in a bounded cache; the twist recursion still visits up to 2^u
 partial sequences.  The coefficients are `torus_conway` values and
@@ -24,6 +24,7 @@ components' a2 total that corrects a3.
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -247,28 +248,36 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
 
 def twistreduce_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial by recursive two-term reduction of one region at a
-    time, memoized on the cyclic-dihedral form of the partial sequence."""
+    time, memoized on the cyclic-dihedral form of the partial sequence.
+
+    The recursion combines coefficient sequences (`poly_mul`, `poly_add`),
+    as the state sum does, and one ZPoly is built at the end."""
     _require_realizable(seq)
     splits = [_split_resolutions(e) for e in seq]
-    return _reduce(seq.entries, 0, splits, {})
+    return ZPoly(_reduce(seq.entries, 0, splits, {}))
 
 
-def _reduce(entries: tuple[Entry, ...], i: int, splits: list, memo: dict) -> ZPoly:
-    """Reduce the first region at or after i whose split has two nonzero
-    coefficients; every region before i is already resolved."""
+def _reduce(entries: tuple[Entry, ...], i: int, splits: list,
+            memo: dict) -> Sequence[int]:
+    """Coefficients of the value of entries: reduce the first region at or
+    after i whose split has two nonzero coefficients; every region before i
+    is already resolved."""
     u = len(entries)
     while i < u and not (splits[i][0] and splits[i][2]):
         i += 1
     if i == u:
-        return base_conway(EnhancedSequence(entries, base=True))
+        return base_conway(EnhancedSequence(entries, base=True)).coeffs
     key = dihedral_canonical(entries)
     cached = memo.get(key)
     if cached is not None:
         return cached
     marked, marked_entry, other, other_entry = splits[i]
     head, tail = entries[:i], entries[i + 1:]
-    value = (marked * _reduce(head + (marked_entry,) + tail, i + 1, splits, memo)
-             + other * _reduce(head + (other_entry,) + tail, i + 1, splits, memo))
+    value = poly_add(
+        poly_mul(marked.coeffs,
+                 _reduce(head + (marked_entry,) + tail, i + 1, splits, memo)),
+        poly_mul(other.coeffs,
+                 _reduce(head + (other_entry,) + tail, i + 1, splits, memo)))
     memo[key] = value
     return value
 
@@ -319,7 +328,7 @@ def a1a3_odd(seq: EnhancedSequence) -> tuple[int, int]:
 def a1a3_even(p: int, q: int, eps1: TwistType, eps2: TwistType, m: int) -> tuple[int, int]:
     """(a1, a3) of the 2-component pretzel with even entries 2p, 2q followed
     by |m| single twists of sign m (the standard shape, whose knot components
-    are unknots).  For a general even pretzel use a1a3_even_from_sequence,
+    are unknots).  For a general even pretzel use a1a3_and_component_a2,
     which adds the component correction."""
     if (eps1, eps2) == (R, S):
         p, q = q, p
@@ -355,14 +364,6 @@ def component_a2_total(seq: EnhancedSequence) -> int:
     return total
 
 
-def a1a3_even_from_sequence(seq: EnhancedSequence) -> tuple[int, int]:
-    """Exact (a1, a3) of any realizable 2-component even pretzel (see
-    a1a3_and_component_a2)."""
-    if sum(1 for e in seq if e.is_even) != 2:
-        raise InvalidSequenceError("expected exactly two even parameters")
-    return a1a3(seq)
-
-
 def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
     """(a1, a3, total a2 of the knot components) of any realizable
     2-component pretzel via the closed forms.
@@ -386,9 +387,3 @@ def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
     a1, a3 = a1a3_even(first.k // 2, second.k // 2, first.eps, second.eps, m)
     a2_total = component_a2_total(seq)
     return a1, a3 + a1 * a2_total, a2_total
-
-
-def a1a3(seq: EnhancedSequence) -> tuple[int, int]:
-    """(a1, a3) of any realizable 2-component pretzel via the closed forms."""
-    a1, a3, _ = a1a3_and_component_a2(seq)
-    return a1, a3

@@ -313,10 +313,27 @@ def _entry_sort_key(e: Entry):
 
 def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
     """Lexicographically least word over all rotations and reflections."""
-    # One sort key per entry; the key is one-to-one, so the least word of
-    # (key, entry) pairs carries the least word of entries.
-    least = min(dihedral_words(tuple((_entry_sort_key(e), e) for e in entries)))
-    return tuple(e for _, e in least)
+    # Words compare by their entries' sort keys, computed once per entry;
+    # the key is one-to-one, so the least word of keys names the least word.
+    # It starts at a least key, so only the rotations of the word and of its
+    # reverse that start there are compared.
+    keys = [_entry_sort_key(e) for e in entries]
+    u = len(keys)
+    low = min(keys)
+    ring = keys + keys
+    back = ring[::-1]  # back[u - 1 - t:] reads the word backwards from t
+    least = None
+    for t in range(u):
+        if keys[t] == low:
+            word = ring[t:t + u]
+            if least is None or word < least:
+                least, start, reverse = word, t, False
+            word = back[u - 1 - t:2 * u - 1 - t]
+            if word < least:
+                least, start, reverse = word, t, True
+    if reverse:
+        return tuple(entries[(start - i) % u] for i in range(u))
+    return entries[start:] + entries[:start]
 
 
 def canonical_key(seq: EnhancedSequence) -> EnhancedSequence:

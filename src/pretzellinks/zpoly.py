@@ -2,11 +2,13 @@
 
 ZPoly is a dense, immutable polynomial with arbitrary-precision integer
 coefficients.  LaurentZ is the companion Laurent polynomial in an auxiliary
-variable x, used only while evaluating determinants of the form
-det(x*V - x^-1*V^T); its result is rewritten exactly in z = x - x^-1.
-Both multiply through `poly_mul`, and ZPoly adds through `poly_add`: one
-convolution and one sum on plain coefficient sequences, which the state sum
-also calls directly so that it builds one ZPoly per call.
+variable x: the oracle builds one per determinant, det(x*V - x^-1*V^T), to
+rewrite it exactly in z = x - x^-1, and the tests use it as a reference.
+The kernels are `poly_mul`, `poly_add` and `poly_exact_div`: one
+convolution, one sum and one long division on plain coefficient sequences.
+ZPoly and LaurentZ arithmetic goes through them, and the state sum, the
+twist recursion and the oracle's elimination call them directly, so each
+builds one ZPoly per call.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def binomial(alpha: int, n: int) -> int:
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Coefficients of the product of two coefficient sequences, lowest
-    degree first; ZPoly and LaurentZ products both come here.
+    degree first; every product of two polynomials in the package comes
+    here.
 
     An empty factor gives ().  The state sum starts from 1 and marks each
     s region by 1, so most of its products have a factor of exactly (1,):
@@ -73,6 +76,43 @@ def poly_add(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     for i, c in enumerate(b):
         out[i] += c
     return out
+
+
+def poly_exact_div(num: Sequence[int], den: Sequence[int]) -> Sequence[int]:
+    """Coefficients of num / den, lowest degree first, when den divides num
+    exactly; raise InternalConsistencyError on any remainder.
+
+    den must end in a nonzero coefficient; num may end in zeros.  The
+    quotient ends in a nonzero coefficient, or is () when num is zero.  A
+    den of exactly (1,) is not divided by, so the result may be num itself
+    and must not be mutated.
+    """
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return ()
+    if den == (1,):
+        return num[:n]
+    rem = list(num[:n])
+    d = len(den) - 1
+    lead = den[d]
+    quot = [0] * (n - d)
+    if not quot:
+        raise InternalConsistencyError("inexact polynomial division")
+    for i in range(n - d - 1, -1, -1):
+        q, r = divmod(rem[i + d], lead)
+        if r:
+            raise InternalConsistencyError("inexact polynomial division")
+        if q:
+            quot[i] = q
+            for j, c in enumerate(den, i):
+                rem[j] -= q * c
+    if any(rem[:d]):
+        raise InternalConsistencyError("inexact polynomial division")
+    return quot
 
 
 class ZPoly:
@@ -313,28 +353,8 @@ class LaurentZ:
 
     def exact_div(self, other: "LaurentZ") -> "LaurentZ":
         """Exact division (raises if the remainder is nonzero)."""
-        if other.is_zero():
-            raise ZeroDivisionError("Laurent division by zero")
-        if self.is_zero():
-            return LaurentZ.zero()
-        rem = list(self.coeffs)
-        div = other.coeffs
-        qlen = len(rem) - len(div) + 1
-        if qlen <= 0:
-            raise InternalConsistencyError("inexact Laurent division")
-        quot = [0] * qlen
-        lead = div[-1]
-        for i in range(qlen - 1, -1, -1):
-            q, r = divmod(rem[i + len(div) - 1], lead)
-            if r:
-                raise InternalConsistencyError("inexact Laurent division")
-            quot[i] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[i + j] -= q * d
-        if any(rem):
-            raise InternalConsistencyError("inexact Laurent division")
-        return LaurentZ(self.lo - other.lo, quot)
+        return LaurentZ(self.lo - other.lo,
+                        poly_exact_div(self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LaurentZ)

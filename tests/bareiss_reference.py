@@ -1,8 +1,9 @@
 """The oracle's Bareiss elimination as it was first written, kept as a test
 reference only.
 
-`diagrams._laurent_det` skips products with a zero factor; `dense_laurent_det`
-is the dense loop it replaced, verbatim.  `conway_from_seifert` eliminates
+`diagrams._bareiss_det` eliminates over Z[y] on plain coefficient sequences
+and skips products with a zero factor; `dense_laurent_det` is the dense
+Laurent loop it descends from, verbatim.  `conway_from_seifert` eliminates
 y*V - V^T in y = x^2; `x_form_conway` eliminates x*V - x^-1*V^T itself.
 """
 

@@ -33,7 +33,7 @@ from pretzellinks.diagrams import (
     skein_checks,
 )
 from pretzellinks.polynomials import (
-    a1a3,
+    a1a3_and_component_a2,
     phi_poly,
     psi_poly,
     statesum_conway,
@@ -166,7 +166,8 @@ def test_criterion_4_closed_forms(engine_sweep):
     for s, mu, nabla in results:
         if mu != 2:
             continue
-        assert a1a3(s) == (nabla.coefficient(1), nabla.coefficient(3)), str(s)
+        assert a1a3_and_component_a2(s)[:2] == (
+            nabla.coefficient(1), nabla.coefficient(3)), str(s)
         two_comp += 1
     assert two_comp > 3000
     torus_checked = 0

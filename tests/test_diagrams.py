@@ -6,11 +6,11 @@ import pytest
 
 from bareiss_reference import dense_laurent_det, x_form_conway
 from conftest import all_plain_sequences, parity_law_ok, random_deep_words, seq
-from pretzellinks import zpoly
+from pretzellinks import diagrams
 from pretzellinks.diagrams import (
     Diagram,
     SeifertMatrix,
-    _laurent_det,
+    _bareiss_det,
     build_diagram,
     component_conway,
     conway_from_seifert,
@@ -215,58 +215,66 @@ def test_conway_from_seifert_matches_the_x_form():
         assert conway_from_seifert(rows) == x_form_conway(rows), str(s)
 
 
-def _laurent_form(rows):
-    """x*V - x^-1*V^T: the x form, with a zero between the two terms of
-    every entry."""
+def _polynomial_forms(rows):
+    """y*V - V^T, x^2*V - V^T in x (a zero between the two terms of every
+    entry) and V itself, each as (coefficient tuples, LaurentZ entries)."""
     n = len(rows)
-    return [[LaurentZ(-1, (-rows[j][i], 0, rows[i][j])) for j in range(n)]
-            for i in range(n)]
+    for spread in ((), (0,), None):
+        cells = [[(rows[i][j],) if spread is None
+                  else (-rows[j][i], *spread, rows[i][j]) for j in range(n)]
+                 for i in range(n)]
+        yield ([[ZPoly(c).coeffs for c in row] for row in cells],
+               [[LaurentZ(0, c) for c in row] for row in cells])
 
 
 def test_laurent_det_matches_the_dense_elimination():
-    """Seeded sparse and dense integer matrices, singular ones and zero
-    leading pivots included, against the loop that multiplies every pair."""
+    """The elimination in Z[y] on seeded sparse and dense integer matrices,
+    singular ones and zero leading pivots included, against the Laurent
+    loop that multiplies every pair."""
     singular = swapped = 0
     for rows in _random_matrices(random.Random(1968)):
-        for m in (_laurent_form(rows),
-                  [[LaurentZ.const(v) for v in row] for row in rows]):
-            swapped += m[0][0].is_zero()
-            expected = dense_laurent_det([row[:] for row in m])
-            assert _laurent_det([row[:] for row in m]) == expected, rows
+        for m, laurent in _polynomial_forms(rows):
+            swapped += not m[0][0]
+            expected = dense_laurent_det(laurent)
+            assert LaurentZ(0, _bareiss_det(m)) == expected, rows
             singular += expected.is_zero()
     assert singular and swapped
 
 
+def _counted_products(monkeypatch):
+    """Route the oracle's products through a counter: [products, pairs]."""
+    counts = [0, 0]
+
+    def counted(a, b, _mul=diagrams.poly_mul):
+        counts[0] += 1
+        counts[1] += len(a) * len(b)
+        return _mul(a, b)
+
+    monkeypatch.setattr(diagrams, "poly_mul", counted)
+    return counts
+
+
 def test_laurent_det_skips_zero_products(monkeypatch):
-    """The banded n = 29 matrix of 10r,-9r,11r,2r takes 15,429 Laurent
-    products when every entry pair is multiplied."""
-    calls = [0]
-
-    def counted(self, other, _mul=LaurentZ.__mul__):
-        calls[0] += 1
-        return _mul(self, other)
-
-    monkeypatch.setattr(zpoly.LaurentZ, "__mul__", counted)
+    """The banded n = 29 matrix of 10r,-9r,11r,2r takes 1,214 products in
+    the elimination, against 15,428 when every entry pair is multiplied."""
     s = EnhancedSequence.parse("10r,-9r,11r,2r")
-    assert seifert_matrix(build_diagram(s)).size == 29
-    oracle_conway(s)
-    assert calls[0] <= 1500
+    rows = seifert_matrix(build_diagram(s)).rows
+    assert len(rows) == 29
+    counts = _counted_products(monkeypatch)
+    value = oracle_conway(s)
+    assert 0 < counts[0] <= 1500
+    assert value == x_form_conway(rows)
 
 
 def test_oracle_forms_few_coefficient_pairs(monkeypatch):
-    """Coefficient pairs over products of two Laurent polynomials for
-    10r,-9r,11r,2r: 688,106 when every entry is a three-slot x form,
-    184,388 in y = x^2."""
-    pairs = [0]
-
-    def counted(self, other, _mul=LaurentZ.__mul__):
-        if isinstance(other, LaurentZ):
-            pairs[0] += len(self.coeffs) * len(other.coeffs)
-        return _mul(self, other)
-
-    monkeypatch.setattr(zpoly.LaurentZ, "__mul__", counted)
-    oracle_conway(EnhancedSequence.parse("10r,-9r,11r,2r"))
-    assert pairs[0] <= 250_000
+    """Coefficient pairs over the elimination's products for
+    10r,-9r,11r,2r: 191,842 in y = x^2, where the same elimination on
+    three-slot entries in x formed 688,106."""
+    s = EnhancedSequence.parse("10r,-9r,11r,2r")
+    counts = _counted_products(monkeypatch)
+    value = oracle_conway(s)
+    assert 0 < counts[1] <= 250_000
+    assert value == x_form_conway(seifert_matrix(build_diagram(s)).rows)
 
 
 def test_seifert_matrix_split_raises():

@@ -16,9 +16,8 @@ from pretzellinks.errors import (
     UnrealizableOrientationError,
 )
 from pretzellinks.polynomials import (
-    a1a3,
+    a1a3_and_component_a2,
     a1a3_even,
-    a1a3_even_from_sequence,
     a1a3_odd,
     base_conway,
     phi_poly,
@@ -461,10 +460,11 @@ def test_a1a3_even_examples():
 
 
 def test_a1a3_even_from_sequence():
-    assert a1a3_even_from_sequence(seq((6, R), (-6, R), (1, R), (1, R))) == (0, -9)
-    assert a1a3_even_from_sequence(
-        seq((4, S), (4, R), (1, R), (1, R), (1, R))) == (0, -9)
-    assert a1a3_even_from_sequence(seq((2, S), (-2, S))) == (0, 0)
+    def a1a3(s):
+        return a1a3_and_component_a2(s)[:2]
+    assert a1a3(seq((6, R), (-6, R), (1, R), (1, R))) == (0, -9)
+    assert a1a3(seq((4, S), (4, R), (1, R), (1, R), (1, R))) == (0, -9)
+    assert a1a3(seq((2, S), (-2, S))) == (0, 0)
 
 
 def test_closed_forms_match_oracle_on_two_component_sweep():
@@ -477,6 +477,7 @@ def test_closed_forms_match_oracle_on_two_component_sweep():
                 continue
             for s in enumerate_enhancements(ks):
                 nabla = twistreduce_conway(s)
-                assert a1a3(s) == (nabla.coefficient(1), nabla.coefficient(3)), str(s)
+                assert a1a3_and_component_a2(s)[:2] == (
+                    nabla.coefficient(1), nabla.coefficient(3)), str(s)
                 checked += 1
     assert checked > 400

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -202,6 +203,24 @@ def test_dihedral_canonical_is_least_by_definition():
             assert dihedral_canonical(w) == least, w
             count += 1
     assert count == 22620
+
+
+def test_dihedral_canonical_is_least_on_wide_tied_words():
+    """Seeded words of wide's lengths, u = 5..12, over 2 or 3 entries that
+    include a zero or an INF, so that the least entry often recurs."""
+    rng = random.Random(1985)
+    alphabet = [Entry(k, eps) for k in (-1, 0, 1, 2, INF) for eps in (S, R)]
+    specials = [e for e in alphabet if e.k == 0 or e.k is INF]
+    tied = 0
+    for _ in range(3000):
+        letters = [rng.choice(specials)] + rng.sample(alphabet, rng.randint(1, 2))
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(5, 12)))
+        least = min(dihedral_words(w),
+                    key=lambda word: tuple(_entry_sort_key(e) for e in word))
+        assert dihedral_canonical(w) == least, w
+        low = min(map(_entry_sort_key, w))
+        tied += sum(_entry_sort_key(e) == low for e in w) > 1
+    assert tied > 2000
 
 
 # -- erasability ---------------------------------------------------------

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pretzellinks.errors import InternalConsistencyError, ParseError
-from pretzellinks.zpoly import LaurentZ, ZPoly, binomial, coefficient, exact_div
+from pretzellinks.zpoly import (
+    LaurentZ,
+    ZPoly,
+    binomial,
+    coefficient,
+    exact_div,
+    poly_exact_div,
+    poly_mul,
+)
 
 small_poly = st.builds(ZPoly, st.lists(st.integers(-9, 9), max_size=8))
 # Constants (0 and 1 among them) as well as higher-degree polynomials.
@@ -93,6 +101,23 @@ def test_laurent_arithmetic_and_division():
     assert prod.exact_div(z) == z
     with pytest.raises(InternalConsistencyError):
         (z + LaurentZ.const(1)).exact_div(z * z)
+
+
+@given(small_poly, small_poly.filter(bool), st.integers(0, 3))
+def test_poly_exact_div_inverts_poly_mul(q, d, zeros):
+    num = tuple(poly_mul(q.coeffs, d.coeffs)) + (0,) * zeros
+    assert tuple(poly_exact_div(num, d.coeffs)) == q.coeffs
+
+
+def test_poly_exact_div_refuses_a_remainder():
+    assert poly_exact_div((0, 0, 6), (0, 3)) == [0, 2]
+    assert poly_exact_div((), (2,)) == ()
+    for num, den in (((1, 1), (0, 1)), ((3,), (2,)), ((1,), (1, 1)),
+                     ((1, 0, 1), (1, 1))):
+        with pytest.raises(InternalConsistencyError):
+            poly_exact_div(num, den)
+    with pytest.raises(ZeroDivisionError):
+        poly_exact_div((1,), ())
 
 
 def test_substitute_z():

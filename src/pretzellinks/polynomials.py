@@ -8,13 +8,15 @@ every orientable base word, and they are cross-checked against the diagram
 oracle.  Because the value depends only on those counts, the state sum
 groups its 2^u states into count classes with one generating polynomial
 and calls `base_conway` once per class: O(u^2) polynomial products when
-every region is odd s or inf r, O(u) otherwise.  Both engines multiply
+every region is odd s or inf r, O(u) otherwise.  The twist recursion still
+visits up to 2^u partial sequences, but it only counts its leaves
+(`_base_counts`) and calls `base_conway` once per count class, through a
+leaf table that lives for one call.  Both engines multiply
 and add plain coefficient sequences through `zpoly.poly_mul` and
 `zpoly.poly_add`, the kernels ZPoly's own arithmetic uses, and build one
 ZPoly per call.  Both take each region's resolutions and coefficients from
 `_split_resolutions`, which computes each distinct entry's pair once and
-keeps it in a bounded cache; the twist recursion still visits up to 2^u
-partial sequences.  The coefficients are `torus_conway` values and
+keeps it in a bounded cache.  The coefficients are `torus_conway` values and
 orientability comes from `sequences.orientation_data`: nothing here
 imports the oracle.  Closed forms for the first two interesting
 coefficients of 2-component pretzels are also provided, with the knot
@@ -119,18 +121,7 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     m is even.  The tests and the selftest check the rules against the
     diagram oracle.
     """
-    m = zeros = ones_s = 0  # finite entries, 0s and 0r, 1s
-    for e in seq.entries:
-        k = e.k
-        if k is INF:
-            continue
-        if k == 0:
-            zeros += 1
-        elif k == 1:
-            ones_s += e.eps is S
-        else:
-            raise InvalidSequenceError(f"{e} is not a base entry")
-        m += 1
+    m, zeros, ones_s = _base_counts(seq.entries)
     # Reject unrealizable tag patterns up front (the rules assume a diagram).
     orientation_data(seq)
     if not m:
@@ -142,6 +133,24 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     if zeros == 1:
         return ZPoly.one()
     return torus_conway(-m, S)
+
+
+def _base_counts(entries: Sequence[Entry]) -> tuple[int, int, int]:
+    """(m, zeros, 1s) of a base word: its finite entries, its 0s and 0r,
+    and its 1s, the counts `base_conway` reads its value from."""
+    m = zeros = ones_s = 0
+    for e in entries:
+        k = e.k
+        if k is INF:
+            continue
+        if k == 0:
+            zeros += 1
+        elif k == 1:
+            ones_s += e.eps is S
+        else:
+            raise InvalidSequenceError(f"{e} is not a base entry")
+        m += 1
+    return m, zeros, ones_s
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +260,39 @@ def twistreduce_conway(seq: EnhancedSequence) -> ZPoly:
     time, memoized on the cyclic-dihedral form of the partial sequence.
 
     The recursion combines coefficient sequences (`poly_mul`, `poly_add`),
-    as the state sum does, and one ZPoly is built at the end."""
+    as the state sum does, and one ZPoly is built at the end.  Its leaves
+    are resolved words, and by `base_conway`'s lemma a leaf's value depends
+    only on its counts; every leaf is orientable because the sequence is
+    (`_require_realizable`).  So, as in the state sum, `base_conway` runs
+    once per count class: on the first leaf with those counts, and a leaf
+    table that lives for this call gives the value to the rest."""
     _require_realizable(seq)
-    splits = [_split_resolutions(e) for e in seq]
-    return ZPoly(_reduce(seq.entries, 0, splits, {}))
+    splits = [(marked.coeffs, marked_entry, other.coeffs, other_entry)
+              for marked, marked_entry, other, other_entry
+              in map(_split_resolutions, seq)]
+    return ZPoly(_reduce(seq.entries, 0, splits, {}, {}))
 
 
 def _reduce(entries: tuple[Entry, ...], i: int, splits: list,
-            memo: dict) -> Sequence[int]:
+            memo: dict, leaves: dict) -> Sequence[int]:
     """Coefficients of the value of entries: reduce the first region at or
     after i whose split has two nonzero coefficients; every region before i
-    is already resolved."""
+    is already resolved.
+
+    splits holds each region's split with its coefficients as tuples.  memo
+    maps dihedral forms of partial sequences to values; leaves maps the
+    `_base_counts` of resolved words to values, so no leaf is built as a
+    sequence once its count class has been seen."""
     u = len(entries)
     while i < u and not (splits[i][0] and splits[i][2]):
         i += 1
     if i == u:
-        return base_conway(EnhancedSequence(entries, base=True)).coeffs
+        counts = _base_counts(entries)
+        value = leaves.get(counts)
+        if value is None:
+            value = leaves[counts] = base_conway(
+                EnhancedSequence(entries, base=True)).coeffs
+        return value
     key = dihedral_canonical(entries)
     cached = memo.get(key)
     if cached is not None:
@@ -274,10 +300,10 @@ def _reduce(entries: tuple[Entry, ...], i: int, splits: list,
     marked, marked_entry, other, other_entry = splits[i]
     head, tail = entries[:i], entries[i + 1:]
     value = poly_add(
-        poly_mul(marked.coeffs,
-                 _reduce(head + (marked_entry,) + tail, i + 1, splits, memo)),
-        poly_mul(other.coeffs,
-                 _reduce(head + (other_entry,) + tail, i + 1, splits, memo)))
+        poly_mul(marked,
+                 _reduce(head + (marked_entry,) + tail, i + 1, splits, memo, leaves)),
+        poly_mul(other,
+                 _reduce(head + (other_entry,) + tail, i + 1, splits, memo, leaves)))
     memo[key] = value
     return value
 

@@ -153,6 +153,10 @@ BASE_ALPHABET = [Entry(0, S), Entry(INF, S), Entry(1, S),
 
 
 def test_base_conway_agrees_with_oracle_exhaustively():
+    """On every orientable base word with u <= 6, base_conway equals the
+    oracle, and the oracle's value depends only on the word's
+    `_base_counts`: the lemma the twist recursion's leaf table relies on."""
+    by_counts = {}
     checked = 0
     for u in range(1, 7):
         for combo in itertools.product(BASE_ALPHABET, repeat=u):
@@ -164,8 +168,11 @@ def test_base_conway_agrees_with_oracle_exhaustively():
             d = diagrams.build_diagram(s)
             want = ZPoly.zero() if d.is_split else diagrams._conway_of(d)
             assert base_conway(s) == want, str(s)
+            counts = polynomials._base_counts(combo)
+            assert by_counts.setdefault(counts, want) == want, str(s)
             checked += 1
     assert checked == 2856  # sum over u of 2^u + 2^(2u-1)
+    assert len(by_counts) == 31
 
 
 def test_orientable_base_words_are_classes_a_and_b():
@@ -342,9 +349,12 @@ def test_goldens_hold_with_a_cold_and_a_warm_split_cache():
 
 def test_twistreduce_builds_one_table_per_call(monkeypatch):
     """phi/psi run at most once per region per call, and the memo's visits
-    (dihedral_canonical and base_conway calls) are pinned."""
+    (dihedral_canonical calls), the leaves (count passes outside
+    base_conway) and the base_conway calls, one per count class, are
+    pinned."""
     counts = collections.Counter()
-    for name in ("phi_poly", "psi_poly", "dihedral_canonical", "base_conway"):
+    for name in ("phi_poly", "psi_poly", "dihedral_canonical", "base_conway",
+                 "_base_counts"):
         def counted(*args, _f=getattr(polynomials, name), _name=name):
             counts[_name] += 1
             return _f(*args)
@@ -353,7 +363,24 @@ def test_twistreduce_builds_one_table_per_call(monkeypatch):
     twistreduce_conway(s)
     assert counts["phi_poly"] <= len(s) and counts["psi_poly"] <= len(s)
     assert counts["dihedral_canonical"] == 1461
-    assert counts["base_conway"] == 1098
+    assert counts["_base_counts"] - counts["base_conway"] == 1098
+    assert counts["base_conway"] == 13
+
+
+def test_twistreduce_leaf_table_lives_for_one_call(monkeypatch):
+    """Two calls on different words that share count classes each run
+    base_conway once per class: no leaf value passes between calls."""
+    calls = []
+    def counted(seq, _f=polynomials.base_conway):
+        calls[-1].append(polynomials._base_counts(seq.entries))
+        return _f(seq)
+    monkeypatch.setattr(polynomials, "base_conway", counted)
+    for text in ("3r,-2r,3r,-2r,3r,-2r", "2r,-3r,2s,5r,2s,-3r"):
+        calls.append([])
+        twistreduce_conway(EnhancedSequence.parse(text))
+    first, second = calls
+    assert len(set(first)) == len(first) and len(set(second)) == len(second)
+    assert set(first) & set(second)
 
 
 @pytest.mark.parametrize("u", [10, 12])

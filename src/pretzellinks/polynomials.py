@@ -1,23 +1,22 @@
 """Conway polynomials of pretzel links by resolution and closed forms.
 
 Two engines live here: a state sum over per-region resolutions and a
-memoized twist-by-twist recursion.  Both bottom out in `base_conway`, which
-reads the value of a resolved sequence off counts of its finite entries; a
-lemma on base-word orientations (see its docstring) shows the rules cover
-every orientable base word, and they are cross-checked against the diagram
-oracle.  Because the value depends only on those counts, the state sum
-groups its 2^u states into count classes with one generating polynomial
-and calls `base_conway` once per class: O(u^2) polynomial products when
+memoized twist-by-twist recursion.  Both bottom out in one count rule,
+`_base_value`, which reads the value of a resolved word off counts of its
+finite entries (`_base_counts`); a lemma on base-word orientations (see
+`base_conway`) shows it covers every orientable base word, and the tests
+check it against the diagram oracle.  The state sum groups its 2^u states
+into count classes with one generating polynomial and reads `_base_value`
+once per class on a plain list of entries: O(u^2) polynomial products when
 every region is odd s or inf r, O(u) otherwise.  The twist recursion still
-visits up to 2^u partial sequences, but it only counts its leaves
-(`_base_counts`) and calls `base_conway` once per count class, through a
-leaf table that lives for one call.  Both engines multiply
-and add plain coefficient sequences through `zpoly.poly_mul` and
-`zpoly.poly_add`, the kernels ZPoly's own arithmetic uses, and build one
-ZPoly per call.  Both take each region's resolutions and coefficients from
-`_split_resolutions`, which computes each distinct entry's pair once and
-keeps it in a bounded cache.  The coefficients are `torus_conway` values and
-orientability comes from `sequences.orientation_data`: nothing here
+visits up to 2^u partial sequences, but counts its leaves and calls
+`base_conway`, which checks its word before it applies the rule, once per
+count class through a leaf table that lives for one call; only those
+leaves and outside callers go through `base_conway`.  Both engines take
+each region's resolutions and coefficient tuples from `_split_resolutions`,
+a bounded cache, combine them with `zpoly.poly_mul` and `zpoly.poly_add`,
+and build one ZPoly per call.  The coefficients are `torus_conway` values
+and orientability comes from `sequences.orientation_data`: nothing here
 imports the oracle.  Closed forms for the first two interesting
 coefficients of 2-component pretzels are also provided, with the knot
 components' a2 total that corrects a3.
@@ -29,7 +28,6 @@ import functools
 from typing import Sequence
 
 from .errors import (
-    InternalConsistencyError,
     InvalidSequenceError,
     UnrealizableOrientationError,
     UnsupportedError,
@@ -42,7 +40,6 @@ from .sequences import (
     S,
     TwistType,
     dihedral_canonical,
-    is_realizable,
     orientation_data,
 )
 from .zpoly import ZPoly, exact_div, poly_add, poly_mul
@@ -119,25 +116,31 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     of 1r and 0r (the top-bridge parity).  So the finite entries are all 1s
     (class A) or all in {1r, 0s, 0r} (class B), and in class B with no zeros
     m is even.  The tests and the selftest check the rules against the
-    diagram oracle.
+    diagram oracle.  The rules themselves live in `_base_value`.
     """
-    m, zeros, ones_s = _base_counts(seq.entries)
+    counts = _base_counts(seq.entries)
     # Reject unrealizable tag patterns up front (the rules assume a diagram).
     orientation_data(seq)
+    return ZPoly(_base_value(*counts))
+
+
+def _base_value(m: int, zeros: int, ones_s: int) -> tuple[int, ...]:
+    """Coefficients of an orientable base word's value from its
+    `_base_counts`, by the rules of `base_conway`."""
     if not m:
-        return ZPoly.zero()
+        return ()
     if ones_s == m:
-        return torus_conway(-m, R)
+        return torus_conway(-m, R).coeffs
     if zeros >= 2:
-        return ZPoly.zero()
+        return ()
     if zeros == 1:
-        return ZPoly.one()
-    return torus_conway(-m, S)
+        return (1,)
+    return torus_conway(-m, S).coeffs
 
 
 def _base_counts(entries: Sequence[Entry]) -> tuple[int, int, int]:
     """(m, zeros, 1s) of a base word: its finite entries, its 0s and 0r,
-    and its 1s, the counts `base_conway` reads its value from."""
+    and its 1s, the counts `_base_value` reads its value from."""
     m = zeros = ones_s = 0
     for e in entries:
         k = e.k
@@ -158,14 +161,14 @@ def _base_counts(entries: Sequence[Entry]) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
-    """Region e's resolutions as (marked coefficient, marked entry, other
-    coefficient, other entry).
+def _split_resolutions(e: Entry) -> tuple[tuple[int, ...], Entry, tuple[int, ...], Entry]:
+    """Region e's resolutions as (marked coefficients, marked entry, other
+    coefficients, other entry).
 
-    The marked resolution is the one `base_conway` counts: 1s for an odd s
+    The marked resolution is the one `_base_value` counts: 1s for an odd s
     region (the other is inf r), a zero for any other finite region (the
     other is inf s or 1r).  An inf region resolves to itself, unmarked.  At
-    most one of the two coefficients is zero.
+    most one of the two coefficient tuples is empty (zero).
 
     By Conway's skein relation (Conway 1970) each coefficient is a (2, k)
     torus value from `torus_conway`: k - 1 and k for an r region's zero and
@@ -177,78 +180,71 @@ def _split_resolutions(e: Entry) -> tuple[ZPoly, Entry, ZPoly, Entry]:
     """
     k = e.k
     if k is INF:
-        return ZPoly.zero(), e, ZPoly.one(), e
+        return (), e, (1,), e
     if e.eps is R:
-        return torus_conway(k - 1, R), Entry(0, R), torus_conway(k, R), Entry(1, R)
+        return (torus_conway(k - 1, R).coeffs, Entry(0, R),
+                torus_conway(k, R).coeffs, Entry(1, R))
     odd = k % 2
-    return (ZPoly.one(), Entry(odd, S), torus_conway(k - odd, S),
+    return ((1,), Entry(odd, S), torus_conway(k - odd, S).coeffs,
             Entry(INF, R if odd else S))
 
 
 def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial as a sum over per-region resolutions, grouped by
-    the counts `base_conway` reads.
+    the counts `_base_value` reads.
 
     The state sum adds, over every choice of one resolution per region, the
-    product of the chosen coefficients times `base_conway` of the resolved
+    product of the chosen coefficients times the value of the resolved
     word.  By `base_conway`'s lemma every state of a realizable sequence
-    lies in one class.  Class A (every region odd s or inf r) resolves each
-    region to 1s or inf r, and a state's value depends only on its number j
-    of 1s.  Class B resolves each finite region to a zero or to inf s or
-    1r, and a state's value depends only on its number j of zeros: every
-    finite r region that is not a zero is 1r, so a state with no zero has
-    the sequence's number of finite r regions as its m.  Two or more zeros
-    are worth 0.
+    lies in one class, and `_require_realizable` tells which.  Class A
+    (every region odd s or inf r) resolves each region to 1s or inf r, and
+    a state's value depends only on its number j of 1s.  Class B resolves
+    each finite region to a zero or to inf s or 1r, and a state's value
+    depends only on its number j of zeros: every finite r region that is
+    not a zero is 1r, so a state with no zero has the sequence's number of
+    finite r regions as its m.  Two or more zeros are worth 0.
 
     Mark each region's counted resolution by t.  The t^j coefficient of
     prod_i (other_i + marked_i * t) is the summed coefficient of the states
-    with count j, so the sum is sum_j [t^j] * base_conway(one state with
-    count j).  Class A keeps every j: O(u^2) polynomial products.  Class B
-    cuts the product after t^1: O(u) products, and the state for the
-    dropped class is checked to be worth 0.  `base_conway` runs on at most
-    u + 1 real states of the sequence, so the count rule lives only there:
-    the states take each region's only resolution where it has one, and the
-    marked one in the first j - (forced count) regions that have two.  The
-    products and the sum run on coefficient tuples (`poly_mul`,
-    `poly_add`), and one ZPoly is built at the end.
+    with count j, so the sum is sum_j [t^j] * value(one state with count
+    j).  Class A keeps every j: O(u^2) polynomial products.  Class B cuts
+    the product after t^1: O(u) products.  Each kept class is read as
+    `_base_value` of the `_base_counts` of one state, a plain list of
+    entries that takes each region's only resolution where it has one, and
+    the marked one in the first j - (forced count) regions that have two:
+    no state is built as a sequence or goes through `base_conway`.  The
+    products and the sum run on coefficient tuples, and one ZPoly is built
+    at the end.
 
     A resolution keeps whether its region reverses the top bridges and which
-    bottom rule it obeys (c in `orientation_data`), so every state
-    is orientable exactly when the sequence is; `_require_realizable`
-    checks that once.
+    bottom rule it obeys (c in `orientation_data`), so every state is
+    orientable exactly when the sequence is; `_require_realizable` checks
+    that once.
     """
-    _require_realizable(seq)
+    class_a = _require_realizable(seq)
     splits = [_split_resolutions(e) for e in seq]
-    class_a = any(e.eps is S and e.k is not INF and e.k % 2 for e in seq)
     cap = len(seq) if class_a else 1  # largest count kept
     gen = [(1,)]  # gen[j]: summed coefficient of the states with count j
     state = []  # the state with the fewest marked resolutions
     forced = 0  # regions whose only resolution is the marked one
     free = []  # regions with two resolutions, in order
     for i, (marked, marked_entry, other, other_entry) in enumerate(splits):
-        m, o = marked.coeffs, other.coeffs
-        nxt = [poly_mul(g, o) for g in gen]
-        if m:
+        nxt = [poly_mul(g, other) for g in gen]
+        if marked:
             nxt.append(())
             for j, g in enumerate(gen, 1):
-                nxt[j] = poly_add(nxt[j], poly_mul(g, m))
-            if o:
+                nxt[j] = poly_add(nxt[j], poly_mul(g, marked))
+            if other:
                 free.append(i)
         gen = nxt[:cap + 1]
-        state.append(other_entry if o else marked_entry)
-        forced += not o
+        state.append(other_entry if other else marked_entry)
+        forced += not other
     total = ()
-    for j in range(forced, forced + len(free) + 1):
+    for j in range(forced, len(gen)):  # the kept counts a state can have
         if j > forced:
             i = free[j - forced - 1]
             state[i] = splits[i][1]
-        value = base_conway(EnhancedSequence(tuple(state), base=True))
-        if j > cap:
-            if value:
-                raise InternalConsistencyError(
-                    f"a state of {seq} with {j} zeros is worth {value}, not 0")
-            break
-        total = poly_add(total, poly_mul(gen[j], value.coeffs))
+        total = poly_add(total, poly_mul(gen[j], _base_value(*_base_counts(state))))
     return ZPoly(total)
 
 
@@ -267,9 +263,7 @@ def twistreduce_conway(seq: EnhancedSequence) -> ZPoly:
     once per count class: on the first leaf with those counts, and a leaf
     table that lives for this call gives the value to the rest."""
     _require_realizable(seq)
-    splits = [(marked.coeffs, marked_entry, other.coeffs, other_entry)
-              for marked, marked_entry, other, other_entry
-              in map(_split_resolutions, seq)]
+    splits = [_split_resolutions(e) for e in seq]
     return ZPoly(_reduce(seq.entries, 0, splits, {}, {}))
 
 
@@ -279,7 +273,7 @@ def _reduce(entries: tuple[Entry, ...], i: int, splits: list,
     after i whose split has two nonzero coefficients; every region before i
     is already resolved.
 
-    splits holds each region's split with its coefficients as tuples.  memo
+    splits holds each region's `_split_resolutions`.  memo
     maps dihedral forms of partial sequences to values; leaves maps the
     `_base_counts` of resolved words to values, so no leaf is built as a
     sequence once its count class has been seen."""
@@ -308,13 +302,16 @@ def _reduce(entries: tuple[Entry, ...], i: int, splits: list,
     return value
 
 
-def _require_realizable(seq: EnhancedSequence) -> None:
-    if seq.base:
-        # Internal sequences only need a consistent orientation.
-        orientation_data(seq)
-        return
-    if not is_realizable(seq):
-        raise UnrealizableOrientationError(f"{seq} admits no oriented diagram")
+def _require_realizable(seq: EnhancedSequence) -> bool:
+    """Raise unless seq is orientable; return whether c = +1 (top == bot in
+    `orientation_data`), the state sum's class A."""
+    try:
+        top, bot = orientation_data(seq)
+    except UnrealizableOrientationError:
+        if seq.base:  # internal sequences keep orientation_data's error
+            raise
+        raise UnrealizableOrientationError(f"{seq} admits no oriented diagram") from None
+    return top == bot
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parity_law_ok, seq
-from statesum_reference import _resolutions
+from statesum_reference import _resolutions, statesum_reference
 from pretzellinks import diagrams, polynomials
 from pretzellinks.errors import (
     InvalidSequenceError,
@@ -155,7 +155,9 @@ BASE_ALPHABET = [Entry(0, S), Entry(INF, S), Entry(1, S),
 def test_base_conway_agrees_with_oracle_exhaustively():
     """On every orientable base word with u <= 6, base_conway equals the
     oracle, and the oracle's value depends only on the word's
-    `_base_counts`: the lemma the twist recursion's leaf table relies on."""
+    `_base_counts`: the lemma the twist recursion's leaf table and the
+    state sum's count classes rely on.  `_base_value` reads it off those
+    counts alone."""
     by_counts = {}
     checked = 0
     for u in range(1, 7):
@@ -170,6 +172,7 @@ def test_base_conway_agrees_with_oracle_exhaustively():
             assert base_conway(s) == want, str(s)
             counts = polynomials._base_counts(combo)
             assert by_counts.setdefault(counts, want) == want, str(s)
+            assert polynomials._base_value(*counts) == base_conway(s).coeffs, str(s)
             checked += 1
     assert checked == 2856  # sum over u of 2^u + 2^(2u-1)
     assert len(by_counts) == 31
@@ -290,14 +293,15 @@ def test_statesum_base_words_golden():
 
 
 def test_split_resolutions_match_reference_table():
-    """The torus-value table equals the test reference's phi/psi table on
-    its nonzero terms, well past the goldens' |k| <= 4."""
+    """The cached coefficient tuples equal the test reference's phi/psi
+    table on its nonzero terms, well past the goldens' |k| <= 4."""
     for k in [*range(-60, 61), INF]:
         for eps in (S, R):
             e = Entry(k, eps)
             split = polynomials._split_resolutions(e)
             got = {pair for pair in (split[:2], split[2:]) if pair[0]}
-            assert got == {pair for pair in _resolutions(e) if pair[0]}, str(e)
+            want = {(gamma.coeffs, entry) for gamma, entry in _resolutions(e) if gamma}
+            assert got == want, str(e)
 
 
 # SHA-256 of twistreduce_conway's coefficients, or its exception type and
@@ -381,6 +385,28 @@ def test_twistreduce_leaf_table_lives_for_one_call(monkeypatch):
     first, second = calls
     assert len(set(first)) == len(first) and len(set(second)) == len(second)
     assert set(first) & set(second)
+
+
+def test_statesum_reads_counts_only(monkeypatch):
+    """The state sum reads each count class off `_base_value`: no state goes
+    through base_conway, and orientation_data runs once per call, in
+    `_require_realizable`.  Class A, class B, and a base word with two
+    forced zeros, past class B's cap."""
+    words = [EnhancedSequence.parse(",".join(["3s", "-5s"] * 3)),
+             EnhancedSequence.parse(",".join(["3r", "-2r"] * 3)),
+             EnhancedSequence.parse("0r,0r,2s", base=True)]
+    wants = [statesum_reference(s) for s in words]
+    assert wants[2] == ZPoly.zero()
+    counts = collections.Counter()
+    for name in ("base_conway", "orientation_data"):
+        def counted(*args, _f=getattr(polynomials, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(polynomials, name, counted)
+    for s, want in zip(words, wants):
+        counts.clear()
+        assert statesum_conway(s) == want, str(s)
+        assert counts == {"orientation_data": 1}, (str(s), counts)
 
 
 @pytest.mark.parametrize("u", [10, 12])

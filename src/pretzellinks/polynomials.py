@@ -366,27 +366,6 @@ def a1a3_even(p: int, q: int, eps1: TwistType, eps2: TwistType, m: int) -> tuple
     return q - p, a3
 
 
-def component_a2_total(seq: EnhancedSequence) -> int:
-    """Total a2 of the knot components of a 2-component pretzel, in closed form.
-
-    For the all-odd shape both components are crossingless circles, so the
-    total is 0.  For the even shape the components are the side closures of
-    the odd runs, i.e. connected sums of (2, k_i) torus knots, giving
-    sum of p_i(p_i+1)/2 over the odd parameters k_i = 2p_i + 1.
-    """
-    evens = sum(1 for e in seq if e.is_even)
-    if evens == 0:
-        return 0
-    if evens != 2:
-        raise UnsupportedError("component a2 closed form needs 2 components")
-    total = 0
-    for e in seq:
-        if e.is_odd:
-            p = (e.k - 1) // 2
-            total += exact_div(p * (p + 1), 2)
-    return total
-
-
 def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
     """(a1, a3, total a2 of the knot components) of any realizable
     2-component pretzel via the closed forms.
@@ -408,5 +387,7 @@ def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
     m = sum(e.k for e in seq if e.is_odd)
     first, second = evens
     a1, a3 = a1a3_even(first.k // 2, second.k // 2, first.eps, second.eps, m)
-    a2_total = component_a2_total(seq)
+    # The components are the side closures of the odd runs: connected sums
+    # of (2, k) torus knots, each with a2 = p(p + 1)/2 for k = 2p + 1.
+    a2_total = sum(p * (p + 1) // 2 for p in ((e.k - 1) // 2 for e in seq if e.is_odd))
     return a1, a3 + a1 * a2_total, a2_total

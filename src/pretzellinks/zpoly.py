@@ -2,13 +2,13 @@
 
 ZPoly is a dense, immutable polynomial with arbitrary-precision integer
 coefficients.  LaurentZ is the companion Laurent polynomial in an auxiliary
-variable x: the oracle builds one per determinant, det(x*V - x^-1*V^T), to
-rewrite it exactly in z = x - x^-1, and the tests use it as a reference.
-The kernels are `poly_mul`, `poly_add` and `poly_exact_div`: one
-convolution, one sum and one long division on plain coefficient sequences.
-ZPoly and LaurentZ arithmetic goes through them, and the state sum, the
-twist recursion and the oracle's elimination call them directly, so each
-builds one ZPoly per call.
+variable x: the oracle builds one per determinant, det(x*V - x^-1*V^T), and
+rewrites it in z = x - x^-1 in one pass over its coefficients; the tests
+use it as a reference.  The kernels are `poly_mul`, `poly_add` and
+`poly_exact_div`: one convolution, one sum and one long division on plain
+coefficient sequences.  Every ZPoly and LaurentZ sum, product and quotient
+goes through them, and the state sum, the twist recursion and the oracle's
+elimination call them directly, so each builds one ZPoly per call.
 """
 
 from __future__ import annotations
@@ -310,12 +310,6 @@ class LaurentZ:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def hi(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero Laurent polynomial has no top exponent")
-        return self.lo + len(self.coeffs) - 1
-
     def coefficient(self, e: int) -> int:
         i = e - self.lo
         if 0 <= i < len(self.coeffs):
@@ -323,18 +317,9 @@ class LaurentZ:
         return 0
 
     def __add__(self, other: "LaurentZ") -> "LaurentZ":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
         lo = min(self.lo, other.lo)
-        hi = max(self.lo + len(self.coeffs), other.lo + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.lo - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.lo - lo + i] += c
-        return LaurentZ(lo, out)
+        return LaurentZ(lo, poly_add((0,) * (self.lo - lo) + self.coeffs,
+                                     (0,) * (other.lo - lo) + other.coeffs))
 
     def __neg__(self) -> "LaurentZ":
         return LaurentZ(self.lo, tuple(-c for c in self.coeffs))
@@ -370,24 +355,24 @@ class LaurentZ:
         return "LaurentZ(" + " + ".join(terms) + ")"
 
     def substitute_z(self) -> ZPoly:
-        """Rewrite exactly in z = x - x^-1; raise if a residue remains."""
-        rem = self
-        out: dict[int, int] = {}
-        while not rem.is_zero():
-            d = rem.hi
-            if d < 0:
-                raise InternalConsistencyError(
-                    "Laurent polynomial is not expressible in z = x - 1/x")
-            c = rem.coefficient(d)
-            out[d] = out.get(d, 0) + c
-            # subtract c * (x - x^-1)^d
-            expansion = [0] * (2 * d + 1)
-            for j in range(d + 1):
-                expansion[2 * (d - j)] = binomial(d, j) * ((-1) ** j) * c
-            rem = rem - LaurentZ(-d, expansion)
-        if not out:
-            return ZPoly.zero()
-        cs = [0] * (max(out) + 1)
-        for e, c in out.items():
-            cs[e] = c
-        return ZPoly(cs)
+        """Rewrite exactly in z = x - x^-1; raise if a residue remains.
+
+        From the top degree d down, the x^d coefficient c is the z^d one, and
+        c * (x - x^-1)^d is taken off the one list, each binomial from the
+        last by C(d, j + 1) = C(d, j) * (d - j) / (j + 1).  A degree-d
+        polynomial in z spans x^-d..x^d, so none reaches less far down than up.
+        """
+        lo, rem = self.lo, list(self.coeffs)
+        hi = lo + len(rem) - 1
+        out = [0] * (hi + 1)
+        if lo + hi <= 0:  # else rem is nonzero and stays so
+            for d in range(hi, -1, -1):
+                t = out[d] = rem[d - lo]
+                if t:
+                    for j in range(d + 1):
+                        rem[d - 2 * j - lo] -= t
+                        t = exact_div(-t * (d - j), j + 1)
+        if any(rem):
+            raise InternalConsistencyError(
+                "Laurent polynomial is not expressible in z = x - 1/x")
+        return ZPoly(out)

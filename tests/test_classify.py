@@ -278,6 +278,7 @@ def test_slice_shape_examples():
     assert slice_shape(seq((2, S), (3, R), (3, R))).verdict == KNOT_UNDETERMINED
     assert slice_shape(seq((2, S), (-2, S))).verdict == SLICE_SHAPE_2COMP
     assert slice_shape(seq((2, S), (4, S))).verdict == NOT_SLICE_SHAPE
+    assert slice_shape(seq((2, S), (2, S), (2, S))).verdict == NOT_SLICE_SHAPE
 
 
 def test_triviality_and_slice_shape_use_the_state_sum(monkeypatch):
@@ -493,13 +494,13 @@ def test_enumerate_classes_checks_every_two_component_row(monkeypatch):
 
 def test_two_component_key_reads_the_component_a2_total_once(monkeypatch):
     calls = []
-    total = polynomials.component_a2_total
+    closed = polynomials.a1a3_and_component_a2
 
     def counting(s):
         calls.append(s)
-        return total(s)
+        return closed(s)
 
-    monkeypatch.setattr(polynomials, "component_a2_total", counting)
+    monkeypatch.setattr(polynomials, "a1a3_and_component_a2", counting)
     assert class_key(K1) == (2, "a1=0;c3=-9")
     assert calls == [K1]
 

@@ -502,6 +502,8 @@ def test_a1a3_odd_examples():
         a1a3_odd(seq((1, S), (2, S)))
     with pytest.raises(InvalidSequenceError):
         a1a3_odd(seq((1, S), (1, S), (1, S)))
+    with pytest.raises(InvalidSequenceError):
+        a1a3_odd(seq((1, S), (1, R)))
 
 
 def test_a1a3_even_examples():

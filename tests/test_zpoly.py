@@ -63,6 +63,10 @@ def test_ring_laws(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a + ZPoly.zero() == a
     assert a * ZPoly.one() == a
+    assert (a - b) + b == a
+    assert 3 * a == a + a + a
+    assert list(a) == list(a.coeffs)
+    assert hash(a * b) == hash(b * a)
 
 
 def test_str_and_parse_round_trip():
@@ -128,6 +132,19 @@ def test_substitute_z():
     assert LaurentZ.const(5).substitute_z() == ZPoly((5,))
     with pytest.raises(InternalConsistencyError):
         x.substitute_z()
+
+
+@given(st.builds(ZPoly, st.lists(st.integers(-5, 5), max_size=10)),
+       st.integers(-12, 12).filter(bool))
+def test_substitute_z_inverts_the_expansion(f, e):
+    # Expand f at z = x - x^-1 with LaurentZ products and sums alone.
+    z = LaurentZ(-1, (-1, 0, 1))
+    total, power = LaurentZ.zero(), LaurentZ.const(1)
+    for c in f.coeffs:
+        total, power = total + power * c, power * z
+    assert total.substitute_z() == f
+    with pytest.raises(InternalConsistencyError):
+        (total + LaurentZ.x_power(e)).substitute_z()
 
 
 @given(st.lists(st.integers(-3, 3), max_size=8), st.integers(0, 4))

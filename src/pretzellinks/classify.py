@@ -60,7 +60,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     if mu == 2:
         _closed_forms(seq, nabla)
     has_even = any(e.is_even for e in seq)
-    key = sequences.canonical_key(sequences.even_subsequence(seq)) if has_even else None
+    key = sequences.canonical_key(seq) if has_even else None
     return InvariantReport(
         sequence=seq, mu=mu, linking=diagrams.linking_matrix(diagram),
         conway=nabla, a_lower=a_lower, a_upper=a_upper,
@@ -110,7 +110,7 @@ def self_delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> SelfDelta
     for s in (a, b):
         if not sequences.is_realizable(s):
             raise InvalidSequenceError(f"{s} admits no oriented diagram")
-    mu_a, mu_b = (sequences.component_count(s.plain()) for s in (a, b))
+    mu_a, mu_b = (sequences.component_count(s) for s in (a, b))
     if mu_a != mu_b:
         return SelfDeltaResult(False, "component-count",
                                certificate=(mu_a, mu_b))
@@ -133,14 +133,13 @@ def _class_invariant(seq: EnhancedSequence,
     self-delta-equivalent: () for a knot; for two components (a1, a3 - a1 *
     total a2 of the components), checked against conway(seq); for more,
     (canonical even key text, twist surplus)."""
-    mu = sequences.component_count(seq.plain())
+    mu = sequences.component_count(seq)
     if mu == 1:
         return mu, ()
     if mu == 2:
         a1, a3, a2_total = _closed_forms(seq, conway(seq))
         return mu, (a1, a3 - a1 * a2_total)
-    key = sequences.canonical_key(sequences.even_subsequence(seq))
-    return mu, (str(key), sequences.twist_surplus(seq))
+    return mu, (str(sequences.canonical_key(seq)), sequences.twist_surplus(seq))
 
 
 def _closed_forms(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int, int]:
@@ -157,8 +156,8 @@ def _closed_forms(seq: EnhancedSequence, nabla: ZPoly) -> tuple[int, int, int]:
 
 def _matching_transform(a: EnhancedSequence, b: EnhancedSequence):
     """Rotation/reflection aligning the normalized even subsequences."""
-    ea = sequences.normalize_even(sequences.even_subsequence(a)).entries
-    eb = sequences.normalize_even(sequences.even_subsequence(b)).entries
+    ea = sequences._normal_evens(a.entries)
+    eb = sequences._normal_evens(b.entries)
     u = len(ea)
     for i, word in enumerate(sequences.dihedral_words(ea)):
         if word == eb:
@@ -213,7 +212,7 @@ def slice_shape(seq: EnhancedSequence) -> SliceShape:
     parameter has absolute value at least 2; such links must also be
     self-delta-trivial, which is verified here.
     """
-    mu = sequences.component_count(seq.plain())
+    mu = sequences.component_count(seq)
     if mu == 1:
         return SliceShape(KNOT_UNDETERMINED)
     if mu != 2:
@@ -307,21 +306,24 @@ def enumerate_classes(max_u: int, max_twist: int,
     multiset of entries, which a rotation or reflection keeps.  So the walk
     goes by orbits, not rows.  Only twist words ks that are the least of
     their own dihedral orbit are visited; every other twist word is the
-    plain part of an image of some word over such a ks.  Each realizable
-    tag word over ks not yet seen is analysed once, its polynomial from the
-    state sum (polynomial in u), and one row is emitted for each distinct
-    rotation or reflection of it, in any order (the rows are sorted at the
-    end), with the text joined from a table of entry texts built once per
-    call.  A set of the images emitted for this ks is enough to skip the
-    rest of the orbit: the orbit's other words over ks are among them, and
-    its words over other twist words are reached from no other ks, since
-    their plain parts lie in the orbit of ks.  No table state is kept
-    between calls; the one thing that persists is the state sum's bounded
-    cache of per-entry resolution pairs, whose values are immutable.  Every
-    2-component row is still checked against the closed forms for (a1,
-    a3) by `_closed_forms`: the analysed word inside `class_key`, its other
-    images here.  With `components`, other component counts are skipped
-    before any polynomial work.
+    plain part of an image of some word over such a ks.  A least word
+    starts with its minimum, so most twist words are dropped before their
+    dihedral words are built.  The surplus depends on ks alone and is read
+    once per visited ks.  Each realizable tag word over ks not yet seen is
+    analysed once, its polynomial from the state sum (polynomial in u), and
+    one row is emitted for each distinct rotation or reflection of it, in
+    any order (the rows are sorted at the end), with the text joined from a
+    table of entry texts built once per call.  A set of the images emitted
+    for this ks is enough to skip the rest of the orbit: the orbit's other
+    words over ks are among them, and its words over other twist words are
+    reached from no other ks, since their plain parts lie in the orbit of
+    ks.  No table state is kept between calls; what persists is the state
+    sum's two bounded caches, of per-entry resolution pairs and of base
+    values by counts, whose values are immutable.  Every 2-component row is
+    still checked against the closed forms for (a1, a3) by `_closed_forms`:
+    the analysed word inside `class_key`, its other images here.  With
+    `components`, other component counts are skipped before any polynomial
+    work.
 
     Raises InvalidSequenceError for bounds or `components` below 1, and
     ResourceLimitError when the bounds span more than MAX_ENUMERATION
@@ -346,12 +348,16 @@ def enumerate_classes(max_u: int, max_twist: int,
     classes: dict[str, list[str]] = {}
     for u in range(1, max_u + 1):
         for ks in itertools.product(values, repeat=u):
-            if ks != min(sequences.dihedral_words(ks)):
+            # A least word starts with its minimum, so most twist words
+            # are dropped before their 2u dihedral words are built.
+            if ks[0] != min(ks) or ks != min(sequences.dihedral_words(ks)):
                 continue
             if components is not None and sequences.component_count(ks) != components:
                 continue
+            enhancements = sequences.enumerate_enhancements(ks)
+            surplus = sequences.twist_surplus(enhancements[0])
             seen = set()
-            for seq in sequences.enumerate_enhancements(ks):
+            for seq in enhancements:
                 word = seq.entries
                 if word in seen:
                     continue
@@ -359,7 +365,7 @@ def enumerate_classes(max_u: int, max_twist: int,
                 seen |= orbit
                 nabla = polynomials.statesum_conway(seq)
                 mu, key = class_key(seq, nabla)
-                fields = (mu, key, sequences.twist_surplus(seq),
+                fields = (mu, key, surplus,
                           nabla.coefficient(1), nabla.coefficient(3), str(nabla))
                 members = classes.setdefault(key, [])
                 for image in orbit:

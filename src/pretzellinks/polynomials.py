@@ -15,7 +15,9 @@ count class through a leaf table that lives for one call; only those
 leaves and outside callers go through `base_conway`.  Both engines take
 each region's resolutions and coefficient tuples from `_split_resolutions`,
 a bounded cache, combine them with `zpoly.poly_mul` and `zpoly.poly_add`,
-and build one ZPoly per call.  The coefficients are `torus_conway` values
+and build one ZPoly per call.  `_base_value` is a bounded cache too, keyed
+by counts; these two caches are the only state that outlives a call, and
+every value in them is immutable.  The coefficients are `torus_conway` values
 and orientability comes from `sequences.orientation_data`: nothing here
 imports the oracle.  Closed forms for the first two interesting
 coefficients of 2-component pretzels are also provided, with the knot
@@ -124,9 +126,15 @@ def base_conway(seq: EnhancedSequence) -> ZPoly:
     return ZPoly(_base_value(*counts))
 
 
+@functools.lru_cache(maxsize=1024)
 def _base_value(m: int, zeros: int, ones_s: int) -> tuple[int, ...]:
     """Coefficients of an orientable base word's value from its
-    `_base_counts`, by the rules of `base_conway`."""
+    `_base_counts`, by the rules of `base_conway`.
+
+    The state sum reads one value per count class, and a table or a sweep
+    meets few distinct counts, so each value is computed once and kept in
+    a bounded cache that lives across calls, like `_split_resolutions`;
+    every value in it is an immutable tuple."""
     if not m:
         return ()
     if ones_s == m:
@@ -208,13 +216,13 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     prod_i (other_i + marked_i * t) is the summed coefficient of the states
     with count j, so the sum is sum_j [t^j] * value(one state with count
     j).  Class A keeps every j: O(u^2) polynomial products.  Class B cuts
-    the product after t^1: O(u) products.  Each kept class is read as
-    `_base_value` of the `_base_counts` of one state, a plain list of
-    entries that takes each region's only resolution where it has one, and
-    the marked one in the first j - (forced count) regions that have two:
-    no state is built as a sequence or goes through `base_conway`.  The
-    products and the sum run on coefficient tuples, and one ZPoly is built
-    at the end.
+    the product after t^1, so it keeps two running sums, for counts 0 and
+    1: O(u) products.  Each kept class is read as `_base_value` of the
+    `_base_counts` of one state, a plain list of entries that takes each
+    region's only resolution where it has one, and the marked one in the
+    first j - (forced count) regions that have two: no state is built as a
+    sequence or goes through `base_conway`.  The products and the sum run
+    on coefficient tuples, and one ZPoly is built at the end.
 
     A resolution keeps whether its region reverses the top bridges and which
     bottom rule it obeys (c in `orientation_data`), so every state is
@@ -222,23 +230,30 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     that once.
     """
     class_a = _require_realizable(seq)
-    splits = [_split_resolutions(e) for e in seq]
-    cap = len(seq) if class_a else 1  # largest count kept
-    gen = [(1,)]  # gen[j]: summed coefficient of the states with count j
+    splits = [_split_resolutions(e) for e in seq.entries]
     state = []  # the state with the fewest marked resolutions
     forced = 0  # regions whose only resolution is the marked one
     free = []  # regions with two resolutions, in order
     for i, (marked, marked_entry, other, other_entry) in enumerate(splits):
-        nxt = [poly_mul(g, other) for g in gen]
-        if marked:
-            nxt.append(())
-            for j, g in enumerate(gen, 1):
-                nxt[j] = poly_add(nxt[j], poly_mul(g, marked))
-            if other:
-                free.append(i)
-        gen = nxt[:cap + 1]
         state.append(other_entry if other else marked_entry)
         forced += not other
+        if marked and other:
+            free.append(i)
+    if class_a:
+        gen = [(1,)]  # gen[j]: summed coefficient of the states with count j
+        for marked, _, other, _ in splits:
+            nxt = [poly_mul(g, other) for g in gen]
+            if marked:
+                nxt.append(())
+                for j, g in enumerate(gen, 1):
+                    nxt[j] = poly_add(nxt[j], poly_mul(g, marked))
+            gen = nxt
+    else:
+        low, high = (1,), ()
+        for marked, _, other, _ in splits:
+            low, high = (poly_mul(low, other),
+                         poly_add(poly_mul(high, other), poly_mul(low, marked)))
+        gen = [low, high] if high else [low]  # () when no state has count 1
     total = ()
     for j in range(forced, len(gen)):  # the kept counts a state can have
         if j > forced:
@@ -379,15 +394,24 @@ def a1a3_and_component_a2(seq: EnhancedSequence) -> tuple[int, int, int]:
     is computed once and returned too, since the self-delta invariant
     subtracts it again.
     """
-    evens = [e for e in seq if e.is_even]
+    # The components are the side closures of the odd runs: connected sums
+    # of (2, k) torus knots, each with a2 = p(p + 1)/2 for k = 2p + 1.
+    evens = []
+    m = a2_total = 0
+    for e in seq.entries:
+        k = e.k
+        if k is INF:
+            continue
+        if k % 2:
+            m += k
+            p = (k - 1) // 2
+            a2_total += p * (p + 1) // 2
+        else:
+            evens.append(e)
     if not evens:
         return (*a1a3_odd(seq), 0)
     if len(evens) != 2:
         raise UnsupportedError("closed forms require a 2-component pretzel")
-    m = sum(e.k for e in seq if e.is_odd)
     first, second = evens
     a1, a3 = a1a3_even(first.k // 2, second.k // 2, first.eps, second.eps, m)
-    # The components are the side closures of the odd runs: connected sums
-    # of (2, k) torus knots, each with a2 = p(p + 1)/2 for k = 2p + 1.
-    a2_total = sum(p * (p + 1) // 2 for p in ((e.k - 1) // 2 for e in seq if e.is_odd))
     return a1, a3 + a1 * a2_total, a2_total

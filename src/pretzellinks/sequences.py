@@ -191,9 +191,19 @@ def _check_plain(ks: Sequence[int]) -> tuple[int, ...]:
     return ks
 
 
-def component_count(ks: Sequence[int]) -> int:
-    """Number of link components of the pretzel with these parameters."""
-    ks = _check_plain(ks)
+def component_count(ks: Sequence[int] | EnhancedSequence) -> int:
+    """Number of link components of the pretzel with these parameters.
+
+    A user-level EnhancedSequence stands for its plain part, read as it is,
+    since its constructor has checked every parameter; a base one may hold
+    0 or INF and is refused.
+    """
+    if isinstance(ks, EnhancedSequence):
+        if ks.base:
+            raise InvalidSequenceError("component count needs a user-level sequence")
+        ks = [e.k for e in ks.entries]
+    else:
+        ks = _check_plain(ks)
     evens = sum(1 for k in ks if k % 2 == 0)
     if evens == 0:
         return 1 if len(ks) % 2 == 1 else 2
@@ -293,9 +303,14 @@ def normalize_even(seq: EnhancedSequence) -> EnhancedSequence:
     """Flip every -2 entry to +2 with the opposite type; requires all-even input."""
     if any(not e.is_even for e in seq):
         raise InvalidSequenceError("normalize_even expects an all-even sequence")
-    return EnhancedSequence(
-        tuple(Entry(2, e.eps.flipped) if e.k == -2 else e for e in seq),
-        base=seq.base)
+    return EnhancedSequence(_normal_evens(seq.entries), base=seq.base)
+
+
+def _normal_evens(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
+    """The even entries in cyclic order, each -2 flipped to +2 with the
+    opposite type."""
+    return tuple(Entry(2, e.eps.flipped) if e.k == -2 else e
+                 for e in entries if e.is_even)
 
 
 def dihedral_words(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
@@ -337,10 +352,17 @@ def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
 
 
 def canonical_key(seq: EnhancedSequence) -> EnhancedSequence:
-    """Canonical representative of an all-even sequence modulo rotation,
-    reflection and the 2r = -2s / 2s = -2r identification."""
-    norm = normalize_even(seq)
-    return EnhancedSequence(dihedral_canonical(norm.entries), base=seq.base)
+    """Canonical representative of the even subsequence modulo rotation,
+    reflection and the 2r = -2s / 2s = -2r identification; an all-even
+    sequence is its own even subsequence.
+
+    The normalised even word is built once, as entries, and only the key
+    is built as a sequence.
+    """
+    evens = _normal_evens(seq.entries)
+    if not evens:
+        raise InvalidSequenceError("sequence has no even parameters")
+    return EnhancedSequence(dihedral_canonical(evens), base=seq.base)
 
 
 def is_erasable(ks: Sequence[int]) -> Optional[Pairing]:

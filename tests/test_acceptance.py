@@ -48,6 +48,7 @@ from pretzellinks.sequences import (
     canonical_key,
     component_count,
     dihedral_canonical,
+    dihedral_words,
     enumerate_enhancements,
     even_subsequence,
     normalize_even,
@@ -140,6 +141,37 @@ def test_criterion_3_engine_agreement_sweep(engine_sweep):
     assert elapsed < 300.0
     print(f"\nACCEPTANCE 3: PASS ({len(results)} sequences, "
           f"statesum = twistreduce = seifert, {elapsed:.1f}s)")
+
+
+def test_engine_sweep_u6_orbit_representatives():
+    """The wider three-engine sweep, first tier: one word per dihedral
+    orbit with u = 6 and |k| <= 3, taken over the twist words that are
+    least in their own orbit.  Every word gets all three engines, the
+    determinant identity and the parity law.  It has its own time bound;
+    criterion 3's stays where it is."""
+    t0 = time.perf_counter()
+    words = 0
+    mismatches = []
+    for ks in itertools.product((-3, -2, -1, 1, 2, 3), repeat=6):
+        if ks != min(dihedral_words(ks)):
+            continue
+        seen = set()
+        for s in enumerate_enhancements(ks):
+            key = dihedral_canonical(s.entries)
+            if key in seen:
+                continue
+            seen.add(key)
+            words += 1
+            a, b, c = statesum_conway(s), twistreduce_conway(s), oracle_conway(s)
+            if not (a == b == c and determinant_identity_holds(s, a)
+                    and parity_law_ok(a, component_count(s))):
+                mismatches.append((str(s), str(a), str(b), str(c)))
+    elapsed = time.perf_counter() - t0
+    assert not mismatches, mismatches[:5]
+    assert words == 12342
+    assert elapsed < 120.0
+    print(f"\nu = 6 sweep: {words} orbit representatives, three engines, "
+          f"determinant identity and parity law, {elapsed:.1f}s")
 
 
 def test_statesum_matches_the_state_walk_on_the_sweep(engine_sweep):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -418,27 +419,34 @@ def test_enumerate_classes_csv_digest(bounds):
 
 
 def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
-    from pretzellinks import polynomials
-    calls = []
-    statesum = polynomials.statesum_conway
-
-    def counting(s):
-        calls.append(s)
-        return statesum(s)
+    # One state sum and one class key per dihedral orbit.  The twist
+    # surplus depends on the plain word alone: once per visited twist word,
+    # plus once inside the class key of each orbit with mu >= 3.
+    from pretzellinks import classify, sequences
+    calls = collections.Counter()
+    for module, name in ((polynomials, "statesum_conway"), (classify, "class_key"),
+                         (sequences, "twist_surplus"),
+                         (sequences, "enumerate_enhancements")):
+        def counting(*args, _f=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(module, name, counting)
 
     def forbidden(s):
         raise AssertionError(f"twist recursion called on {s}")
 
-    monkeypatch.setattr(polynomials, "statesum_conway", counting)
     monkeypatch.setattr(polynomials, "twistreduce_conway", forbidden)
     table = enumerate_classes(3, 2)
-    orbits = {dihedral_canonical(EnhancedSequence.parse(r.sequence).entries)
+    orbits = {dihedral_canonical(EnhancedSequence.parse(r.sequence).entries): r.mu
               for r in table.rows}
-    first = len(calls)
-    assert first == len(orbits) == 48 and len(orbits) < len(table.rows)
+    assert len(orbits) == 48 and len(orbits) < len(table.rows)
+    assert sum(mu >= 3 for mu in orbits.values()) == 10
+    first = dict(calls)
+    assert first == {"statesum_conway": 48, "class_key": 48,
+                     "enumerate_enhancements": 34, "twist_surplus": 34 + 10}
     # No state survives the call: a second call does the same work again.
     enumerate_classes(3, 2)
-    assert len(calls) == 2 * first
+    assert calls == {name: 2 * n for name, n in first.items()}
 
 
 @pytest.mark.parametrize("bounds", [(3, 2), (4, 3)])

@@ -1,20 +1,28 @@
 """Engine-free checks: the determinant |nabla(2i)| = |e_{u-1}(k)|, the
-mirror identity nabla(mirror) = nabla(-z), and each knot component's nabla
-as a product of torus values."""
+first coefficient a_{mu-1} = e_{mu-1}(w), the mirror identity
+nabla(mirror) = nabla(-z), and each knot component's nabla as a product of
+torus values."""
 
 import itertools
 import random
 
 import pytest
 
-from closed_form_reference import determinant_identity_holds, elementary_u_minus_1
+from closed_form_reference import (
+    determinant_identity_holds,
+    elementary_u_minus_1,
+    first_coefficient,
+)
 from conftest import random_deep_words, random_realizable
+from pretzellinks.classify import enumerate_classes
 from pretzellinks.diagrams import build_diagram, component_conway, oracle_conway
 from pretzellinks.polynomials import statesum_conway, torus_conway, twistreduce_conway
 from pretzellinks.sequences import (
     EnhancedSequence,
     Entry,
     R,
+    S,
+    component_count,
     dihedral_words,
     enumerate_enhancements,
 )
@@ -50,6 +58,63 @@ def test_determinant_identity_statesum():
               for u in (25, 50, 100, 150, 199, 200) for all_odd in (False, True)]
     for s in words:
         assert determinant_identity_holds(s, statesum_conway(s)), str(s)
+
+
+@pytest.mark.parametrize("text, mu, want", [
+    ("3s,5s,7s", 1, 1), ("2s,3r,3r", 1, 1), ("3r,5r", 2, 4), ("3s,5s", 2, -4),
+    ("4s,6r,2s,1r", 3, -7),  # w = -2, 3, -1: e_2 = -6 + 2 - 3
+])
+def test_first_coefficient_examples(text, mu, want):
+    s = EnhancedSequence.parse(text)
+    assert first_coefficient(s) == want
+    assert statesum_conway(s).coefficient(mu - 1) == want
+
+
+def test_first_coefficient_on_the_4x3_table():
+    """a_{mu-1} from the linking numbers alone, against every row of the
+    4x3 class table: the 2,170 rows with an even entry, and the all-odd
+    rows (knots and all-odd 2-component links)."""
+    with_even = 0
+    for row in enumerate_classes(4, 3).rows:
+        s = EnhancedSequence.parse(row.sequence)
+        nabla = ZPoly.parse(row.conway)
+        assert nabla.coefficient(row.mu - 1) == first_coefficient(s), row.sequence
+        with_even += any(e.k % 2 == 0 for e in s)
+    assert with_even == 2170
+
+
+def _word_with_evens(rng, u, max_k, evens):
+    """A realizable user word with exactly `evens` even entries (at least
+    one): every odd entry r, and an even number of r."""
+    odd = [k for k in range(1, max_k + 1, 2)]
+    even = [k for k in range(2, max_k + 1, 2)]
+    at = set(rng.sample(range(u), evens))
+    ks = [rng.choice((-1, 1)) * rng.choice(even if i in at else odd) for i in range(u)]
+    tags = [rng.choice((S, R)) if i in at else R for i in range(u)]
+    if tags.count(R) % 2:
+        i = min(at)
+        tags[i] = S if tags[i] is R else R
+    return EnhancedSequence(tuple(map(Entry, ks, tags)))
+
+
+def test_first_coefficient_statesum_long_words():
+    """The state sum's a_{mu-1} against e_{mu-1}(w) on 300 seeded words
+    with 120 <= u <= 150 and |k| <= 9: random words (mu near 4u/9), words
+    with one to three even entries, and all-odd words."""
+    rng = random.Random(1985)
+    words = []
+    for i in range(300):
+        u = rng.randint(120, 150)
+        if i % 10 < 6:
+            words.append(random_realizable(rng, u, 9))
+        elif i % 10 < 9:
+            words.append(_word_with_evens(rng, u, 9, i % 10 - 5))
+        else:
+            words.append(random_realizable(rng, u, 9, all_odd=True))
+    for s in words:
+        mu = component_count(s)
+        assert statesum_conway(s).coefficient(mu - 1) == first_coefficient(s), str(s)
+    assert {component_count(s) for s in words} >= {1, 2, 3}
 
 
 def _mirror(s):

@@ -52,6 +52,18 @@ def test_component_count_rejects_zero():
         component_count((1, 0, 3))
 
 
+@given(enhanced_seqs)
+def test_component_count_reads_a_sequence_as_its_plain_part(s):
+    assert component_count(s) == component_count(s.plain())
+
+
+def test_component_count_rejects_base_sequences():
+    for s in (seq((1, S), (0, R), base=True), seq((1, S), (INF, R), base=True),
+              seq((1, S), (3, R), base=True)):
+        with pytest.raises(InvalidSequenceError):
+            component_count(s)
+
+
 # -- realizability -------------------------------------------------------
 
 

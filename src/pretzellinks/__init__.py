@@ -23,6 +23,7 @@ from .sequences import (
     even_subsequence,
     is_erasable,
     is_realizable,
+    linking_matrix,
     normalize_even,
     pairing_respects_orientation,
     parse_plain,
@@ -35,7 +36,6 @@ from .diagrams import (
     build_diagram,
     component_conway,
     conway_from_seifert,
-    linking_matrix,
     oracle_conway,
     pd_code,
     seifert_matrix,

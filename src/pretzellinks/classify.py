@@ -1,6 +1,6 @@
 """Equivalence deciders and invariant reports for pretzel links.
 
-Delta-equivalence is decided by component count and linking numbers.
+Delta-equivalence is decided by the word's component count and linking numbers.
 Self-delta classes are stated once, by `_class_invariant`, which
 `class_key` formats and `self_delta_equivalent` compares: the canonical
 even-subsequence key and twist surplus for three or more components, and
@@ -57,12 +57,14 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
     a2_sum = sum(c.coefficient(2) for c in comps)
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
-    if mu == 2:
-        _closed_forms(seq, nabla)
+    if mu == 2 and _closed_forms(seq, nabla)[2] != a2_sum:
+        raise InternalConsistencyError(
+            f"closed-form component a2 total disagrees with the oracle's "
+            f"{a2_sum} on {seq}")
     has_even = any(e.is_even for e in seq)
     key = sequences.canonical_key(seq) if has_even else None
     return InvariantReport(
-        sequence=seq, mu=mu, linking=diagrams.linking_matrix(diagram),
+        sequence=seq, mu=mu, linking=sequences.linking_matrix(seq),
         conway=nabla, a_lower=a_lower, a_upper=a_upper,
         component_conways=comps, component_a2_sum=a2_sum,
         a_upper_corrected=a_upper - a_lower * a2_sum,
@@ -77,13 +79,13 @@ def delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
     """Same component count, and linking matrices equal up to a rotation or
     reflection of the component cycle (Murakami-Nakanishi 1989).
 
-    `build_diagram` numbers components by the first region they touch; in a
-    user word with mu >= 3 each owns one run between neighbouring vertical
-    regions, so the numbering goes round the cycle, and b's rotations and
-    reflections have exactly b's matrix under the 2 mu dihedral relabellings
-    of range(mu): none is built.  With mu <= 2 every relabelling fixes it.
+    `sequences.linking_matrix` reads the matrices off the words, no diagram
+    built.  With mu >= 3 each component is one run between neighbouring even
+    regions, numbered round the cycle, so b's rotations and reflections have
+    exactly b's matrix under the 2 mu dihedral relabellings of range(mu).
+    With mu <= 2 every relabelling fixes it.
     """
-    lk_a, lk_b = (diagrams.linking_matrix(diagrams.build_diagram(s)) for s in (a, b))
+    lk_a, lk_b = (sequences.linking_matrix(s) for s in (a, b))
     return len(lk_a) == len(lk_b) and any(
         lk_a == tuple(tuple(lk_b[i][j] for j in p) for i in p)
         for p in sequences.dihedral_words(tuple(range(len(lk_a)))))

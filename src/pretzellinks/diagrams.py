@@ -197,23 +197,6 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
         free_loops=narcs - len(pd_id))
 
 
-# ---------------------------------------------------------------------------
-# classical invariants read off the diagram
-
-
-def linking_matrix(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
-    """Pairwise linking numbers (diagonal zero) in component order."""
-    mu = diagram.ncomponents
-    doubled = [[0] * mu for _ in range(mu)]
-    for info in diagram.regions:
-        if info.crossings == 0 or info.comp_left == info.comp_right:
-            continue
-        a, b = info.comp_left, info.comp_right
-        doubled[a][b] += info.sign * info.crossings
-        doubled[b][a] += info.sign * info.crossings
-    return tuple(tuple(exact_div(v, 2) for v in row) for row in doubled)
-
-
 def pd_code(diagram: Diagram) -> str:
     """PD-style text export: one 'X a b c d sign' line per crossing.
 

@@ -6,7 +6,8 @@ type: S for anti-parallel strands, R for parallel strands.  Everything here
 is pure and value-based.  The orientation rule lives here: `orientation_data`
 decides which tag words are realizable and orients their bridges, and
 `is_realizable`, `enumerate_enhancements`, the resolution engines and the
-diagram construction in `diagrams` all take it from here.
+diagram construction in `diagrams` all take it from here.  `component_count`
+and `linking_matrix` read the link's components off the word, no diagram built.
 """
 
 from __future__ import annotations
@@ -250,6 +251,29 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
     # top itself when c = +1 and its negation when c = -1.
     pinned = tuple(top) if top[0] == 1 else tuple([-t for t in top])
     return pinned, pinned if plus else tuple([-t for t in pinned])
+
+
+def linking_matrix(seq: EnhancedSequence) -> tuple[tuple[int, ...], ...]:
+    """Pairwise linking numbers (diagonal zero) of a realizable user word,
+    components numbered as `diagrams.build_diagram` numbers them.
+
+    A region's crossings have sign sign(k) for r (parallel strands) and
+    -sign(k) for s, so a region on two components links them by w = k/2
+    (r) or -k/2 (s).  With two or more even regions, component c is the
+    run ending at the c-th even region, which joins it to the next run.
+    With none and an even length, both components pass every region,
+    linked by the sum of w.  Otherwise the word is a knot.
+    """
+    orientation_data(seq)
+    mu = component_count(seq)
+    doubled = [e.k if e.eps is R else -e.k for e in seq.entries]
+    links = [v for v, e in zip(doubled, seq.entries) if e.is_even] or [sum(doubled)]
+    lk = [[0] * mu for _ in range(mu)]
+    if mu > 1:
+        for c, v in enumerate(links):
+            lk[c][(c + 1) % mu] += v // 2
+            lk[(c + 1) % mu][c] += v // 2
+    return tuple(map(tuple, lk))
 
 
 def is_realizable(seq: EnhancedSequence) -> bool:

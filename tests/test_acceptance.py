@@ -16,6 +16,7 @@ import pytest
 
 from closed_form_reference import determinant_identity_holds
 from conftest import parity_law_ok, seq
+from link_reference import region_linking_matrix
 from statesum_reference import statesum_reference
 from pretzellinks import diagrams
 from pretzellinks.classify import (
@@ -28,7 +29,6 @@ from pretzellinks.classify import (
 )
 from pretzellinks.diagrams import (
     build_diagram,
-    linking_matrix,
     oracle_conway,
     skein_checks,
 )
@@ -348,7 +348,7 @@ def test_criterion_7_mutation_invariance():
 def _gap_linking(s):
     """Linking matrix indexed by the gaps between even entries (cyclic)."""
     d = build_diagram(s)
-    lk = linking_matrix(d)
+    lk = region_linking_matrix(d)
     evens = [i for i, e in enumerate(s) if e.is_even]
     comps = [d.regions[i].comp_right for i in evens]
     mu = len(evens)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from conftest import all_plain_sequences, seq
+from link_reference import region_linking_matrix
 from pretzellinks import diagrams, polynomials
 from pretzellinks.classify import (
     KNOT_UNDETERMINED,
@@ -24,7 +25,6 @@ from pretzellinks.classify import (
     self_delta_trivial_2comp,
     slice_shape,
 )
-from pretzellinks.diagrams import linking_matrix
 from pretzellinks.errors import (
     InternalConsistencyError,
     InvalidSequenceError,
@@ -32,6 +32,7 @@ from pretzellinks.errors import (
     UnsupportedError,
 )
 from pretzellinks.sequences import (
+    INF,
     EnhancedSequence,
     R,
     S,
@@ -99,6 +100,18 @@ def test_invariants_evaluates_a_knot_determinant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_invariants_checks_component_a2_against_the_closed_form(monkeypatch):
+    component = diagrams.component_conway
+
+    def shifted(diagram, j):
+        value = component(diagram, j)
+        return value + ZPoly((0, 0, 1)) if j == 1 else value
+
+    monkeypatch.setattr(diagrams, "component_conway", shifted)
+    with pytest.raises(InternalConsistencyError, match="component a2"):
+        invariants(K1)
+
+
 def test_invariants_a2_sum_vanishes_for_trivial_components():
     rep = invariants(K2)
     assert all(c == ZPoly.one() for c in rep.component_conways)
@@ -126,23 +139,24 @@ def test_delta_needs_matching_linking_pattern():
                             seq((6, S), (4, S), (2, S)))
 
 
-def test_delta_equivalent_builds_each_diagram_once(monkeypatch):
-    build = diagrams.build_diagram
-    built = []
+def test_delta_equivalent_builds_no_diagram(monkeypatch):
+    def refuse(s):
+        raise AssertionError(f"delta_equivalent built a diagram of {s}")
 
-    def counting_build(s):
-        built.append(s)
-        return build(s)
-
-    monkeypatch.setattr(diagrams, "build_diagram", counting_build)
+    monkeypatch.setattr(diagrams, "build_diagram", refuse)
     pairs = [(A, seq((-3, R), (-2, R), (6, R), (5, R), (4, S))),
              (seq((1, S), (1, S)), seq((1, S), (1, S), (1, S), (1, S))),
              (seq((3, S),), seq((1, S), (1, S), (1, S))),
              (seq((2, S), (4, S), (2, S)), seq((4, S), (2, S), (2, S)))]
-    for a, b in pairs:
-        built.clear()
-        delta_equivalent(a, b)
-        assert built == [a, b]
+    assert [delta_equivalent(a, b) for a, b in pairs] == [True, False, True, True]
+
+
+def test_delta_equivalent_refuses_base_words():
+    # A base word (a 0 or inf entry) is no user link: it is refused, as
+    # component_count refuses it, rather than answered from a diagram.
+    for s in (seq((0, S), (2, S), base=True), seq((INF, S), (2, S), base=True)):
+        with pytest.raises(InvalidSequenceError):
+            delta_equivalent(s, s)
 
 
 _LINKING: dict = {}
@@ -152,7 +166,7 @@ def _linking(entries):
     """Linking matrix of the diagram of a user word, built once per word."""
     if entries not in _LINKING:
         diagram = diagrams.build_diagram(EnhancedSequence(entries))
-        _LINKING[entries] = linking_matrix(diagram)
+        _LINKING[entries] = region_linking_matrix(diagram)
     return _LINKING[entries]
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -56,6 +57,14 @@ def test_equiv_fixture(capsys):
     assert out.splitlines()[0] == "true"
 
 
+@functools.cache
+def word_pool():
+    """The realizable words with u <= 4 and |k| <= 3, by length u."""
+    values = [k for k in range(-3, 4) if k]
+    return {u: [s for ks in itertools.product(values, repeat=u)
+                for s in enumerate_enhancements(ks)] for u in range(1, 5)}
+
+
 def equiv_pairs(n, seed):
     """n seeded same-length pairs of realizable words with u <= 4 and |k| <= 3.
 
@@ -64,9 +73,7 @@ def equiv_pairs(n, seed):
     key and surplus); such an image with one entry changed (a +-2 entry
     read as its twin of the other type, or an odd entry shifted by 2).
     """
-    values = [k for k in range(-3, 4) if k]
-    pool = {u: [s for ks in itertools.product(values, repeat=u)
-                for s in enumerate_enhancements(ks)] for u in range(1, 5)}
+    pool = word_pool()
     words = [s for u in sorted(pool) for s in pool[u]]
     rng = random.Random(seed)
     pairs = []
@@ -105,10 +112,28 @@ def test_equiv_self_delta_json_is_byte_identical(capsys):
         "e904e6eddbea3c42e0d8ac5df073a7dbed75b63f9447e61773719a7f447ed74e")
 
 
+def test_equiv_delta_json_is_byte_identical(capsys):
+    # SHA-256 of every exit code and JSON answer, in order.  It was taken
+    # while delta_equivalent still read linking numbers off built diagrams,
+    # so it shows every verdict unchanged by reading them off the word.
+    digest = hashlib.sha256()
+    for a, b in equiv_pairs(1200, 1903):
+        code = main(["equiv", "--relation", "delta", "--json", "--", a, b])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "73b05a623359eea10a7f7fced91e50faf822dee826bdaec3e4253dc638b5296b")
+
+
 def test_equiv_delta(capsys):
     code, out, _ = run(capsys, "equiv", "2s,3r,3r", "4s,1r,1r",
                        "--relation", "delta")
     assert code == 0 and out.splitlines()[0] == "true"
+
+
+def test_equiv_delta_rejects_unrealizable(capsys):
+    code, out, err = run(capsys, "equiv", "2s,3s", "2s,3s", "--relation", "delta")
+    assert code == 2 and out == ""
+    assert err == "error: bottom-bridge orientations are inconsistent for 2s,3s\n"
 
 
 def test_json_round_trip(capsys):
@@ -141,6 +166,20 @@ def test_invariants_json(capsys):
     payload = json.loads(out)
     assert payload["mu"] == 2
     assert ZPoly.from_pairs(payload["conway"]).coefficient(3) == -9
+
+
+def test_invariants_json_is_byte_identical(capsys):
+    # SHA-256 of every exit code and JSON report over 200 seeded words with
+    # u <= 4 and |k| <= 3, taken while the linking matrix was still read off
+    # the built diagram.
+    pool = word_pool()
+    words = random.Random(2503).sample([s for u in sorted(pool) for s in pool[u]], 200)
+    digest = hashlib.sha256()
+    for s in words:
+        code = main(["invariants", "--json", "--", str(s)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == (
+        "2cfc6813c2e34e1431a9c01474a67a3508ffbfe108dbe1405a23ee92effb8837")
 
 
 def test_oracle_check(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from bareiss_reference import dense_laurent_det, x_form_conway
 from conftest import all_plain_sequences, parity_law_ok, random_deep_words, seq
+from link_reference import region_linking_matrix
 from pretzellinks import diagrams
 from pretzellinks.diagrams import (
     Diagram,
@@ -14,7 +15,6 @@ from pretzellinks.diagrams import (
     build_diagram,
     component_conway,
     conway_from_seifert,
-    linking_matrix,
     oracle_conway,
     orientation_data,
     pd_code,
@@ -35,6 +35,7 @@ from pretzellinks.sequences import (
     S,
     component_count,
     enumerate_enhancements,
+    linking_matrix,
 )
 from pretzellinks.zpoly import LaurentZ, ZPoly
 
@@ -105,10 +106,21 @@ def test_seifert_matrix_size_invariant():
 
 
 def test_linking_examples():
-    assert linking_matrix(build_diagram(seq((1, S), (1, S)))) == ((0, -1), (-1, 0))
-    assert linking_matrix(build_diagram(seq((2, S), (-2, S)))) == ((0, 0), (0, 0))
-    lk = linking_matrix(build_diagram(seq((2, S), (2, S), (2, S))))
-    assert lk == ((0, -1, -1), (-1, 0, -1), (-1, -1, 0))
+    examples = [(seq((1, S), (1, S)), ((0, -1), (-1, 0))),
+                (seq((2, S), (-2, S)), ((0, 0), (0, 0))),
+                (seq((2, S), (2, S), (2, S)), ((0, -1, -1), (-1, 0, -1), (-1, -1, 0)))]
+    for s, lk in examples:
+        assert region_linking_matrix(build_diagram(s)) == lk
+        assert linking_matrix(s) == lk
+
+
+def test_word_linking_matrix_equals_the_region_sum():
+    # Exact equality, components in the same order, on every realizable
+    # word with u <= 4 and |k| <= 4.
+    words = [s for ks in all_plain_sequences(4, 4) for s in enumerate_enhancements(ks)]
+    assert len(words) == 11752
+    for s in words:
+        assert linking_matrix(s) == region_linking_matrix(build_diagram(s)), str(s)
 
 
 def test_linking_equals_a1_for_two_components():
@@ -120,7 +132,7 @@ def test_linking_equals_a1_for_two_components():
         if component_count(ks) != 2:
             continue
         for s in enumerate_enhancements(ks):
-            lk = linking_matrix(build_diagram(s))[0][1]
+            lk = region_linking_matrix(build_diagram(s))[0][1]
             assert lk == oracle_conway(s).coefficient(1), str(s)
 
 
@@ -171,7 +183,7 @@ def test_hoste_spanning_tree_cross_check():
             d = build_diagram(s)
             nabla = oracle_conway(s)
             assert nabla.coefficient(mu - 1) == spanning_tree_sum(
-                linking_matrix(d)), str(s)
+                region_linking_matrix(d)), str(s)
             checked += 1
 
 
@@ -432,8 +444,8 @@ def test_minus_two_normalization_isotopy():
             ent.insert(i + 1, Entry(-1, R))
             s2 = EnhancedSequence(tuple(ent))
             assert oracle_conway(s) == oracle_conway(s2), str(s)
-            assert linking_matrix(build_diagram(s)) == \
-                linking_matrix(build_diagram(s2)), str(s)
+            assert region_linking_matrix(build_diagram(s)) == \
+                region_linking_matrix(build_diagram(s2)), str(s)
             checked += 1
 
 
@@ -470,7 +482,7 @@ def test_odd_spread_preserves_linking():
         ent = list(s.entries)
         ent[i:i + 1] = [unit] * abs(e.k)
         s2 = EnhancedSequence(tuple(ent))
-        assert linking_matrix(d) == linking_matrix(build_diagram(s2))
+        assert region_linking_matrix(d) == region_linking_matrix(build_diagram(s2))
 
 
 # -- skein checks ----------------------------------------------------------------
@@ -582,8 +594,9 @@ def test_diagram_outputs_golden():
     for s in _golden_inputs():
         d = build_diagram(s)
         regions = tuple((r.comp_left, r.comp_right, r.sign) for r in d.regions)
-        record = repr((str(s), pd_code(d), linking_matrix(d), d.ncomponents,
-                       d.is_split, d.seifert_circles, d.free_loops, regions))
+        record = repr((str(s), pd_code(d), region_linking_matrix(d),
+                       d.ncomponents, d.is_split, d.seifert_circles,
+                       d.free_loops, regions))
         digest.update(record.encode() + b"\n")
         count += 1
     assert count == 2782 + 56

@@ -29,7 +29,7 @@ from .sequences import (
     parse_plain,
     twist_surplus,
 )
-from .zpoly import ZPoly, binomial, coefficient
+from .zpoly import ZPoly
 from .diagrams import (
     Diagram,
     SeifertMatrix,

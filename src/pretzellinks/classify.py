@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -307,23 +308,26 @@ def enumerate_classes(max_u: int, max_twist: int,
     the words are isotopic, and the twist surplus is a sum over the
     multiset of entries, which a rotation or reflection keeps.  So the walk
     goes by orbits, not rows.  Only twist words ks that are the least of
-    their own dihedral orbit are visited; every other twist word is the
-    plain part of an image of some word over such a ks.  A least word
-    starts with its minimum, so most twist words are dropped before their
-    dihedral words are built.  The surplus depends on ks alone and is read
-    once per visited ks.  Each realizable tag word over ks not yet seen is
-    analysed once, its polynomial from the state sum (polynomial in u), and
-    one row is emitted for each distinct rotation or reflection of it, in
-    any order (the rows are sorted at the end), with the text joined from a
-    table of entry texts built once per call.  A set of the images emitted
-    for this ks is enough to skip the rest of the orbit: the orbit's other
-    words over ks are among them, and its words over other twist words are
-    reached from no other ks, since their plain parts lie in the orbit of
-    ks.  No table state is kept between calls; what persists is the state
-    sum's two bounded caches, of per-entry resolution pairs and of base
-    values by counts, whose values are immutable.  Every 2-component row is
-    still checked against the closed forms for (a1, a3) by `_closed_forms`:
-    the analysed word inside `class_key`, its other images here.  With
+    their own dihedral orbit are visited (`sequences.is_dihedral_least`
+    compares only the rotations and reflections that start at the least
+    value); every other twist word is the plain part of an image of some
+    word over such a ks.  The realizable tag words over ks come unbuilt
+    from `sequences.enumerate_enhancements`, and a sequence is built only
+    for a word not yet seen, which is analysed once: its polynomial from
+    the state sum and its class key.  The surplus depends on ks alone and
+    is read once, from the first word.  One row is emitted for each
+    distinct rotation or reflection of the word, as a plain tuple (the
+    rows are sorted, then made ClassRows, at the end), with the text joined
+    from a table of entry texts built once per call.  A set of the images
+    emitted for this ks is enough to skip the rest of the orbit: the
+    orbit's other words over ks are among them, and its words over other
+    twist words are reached from no other ks, since their plain parts lie
+    in the orbit of ks.  No table state is kept between calls; what
+    persists is the state sum's two bounded caches, of per-entry
+    resolution pairs and of base values by counts, whose values are
+    immutable.  Every 2-component row is still checked against the closed
+    forms for (a1, a3) by `_closed_forms`: the analysed word inside
+    `class_key`, a sequence of each of its other images here.  With
     `components`, other component counts are skipped before any polynomial
     work.
 
@@ -346,38 +350,33 @@ def enumerate_classes(max_u: int, max_twist: int,
                 f"{MAX_ENUMERATION} sequences (the limit)")
     values = [k for k in range(-max_twist, max_twist + 1) if k != 0]
     text_of = {e: str(e) for k in values for e in (Entry(k, S), Entry(k, R))}
-    rows = []
-    classes: dict[str, list[str]] = {}
+    rows = []  # (sequence, mu, key, surplus, a1, a3, conway) tuples
     for u in range(1, max_u + 1):
         for ks in itertools.product(values, repeat=u):
-            # A least word starts with its minimum, so most twist words
-            # are dropped before their 2u dihedral words are built.
-            if ks[0] != min(ks) or ks != min(sequences.dihedral_words(ks)):
+            if not sequences.is_dihedral_least(ks):
                 continue
             if components is not None and sequences.component_count(ks) != components:
                 continue
-            enhancements = sequences.enumerate_enhancements(ks)
-            surplus = sequences.twist_surplus(enhancements[0])
             seen = set()
-            for seq in enhancements:
-                word = seq.entries
+            for word in sequences.enumerate_enhancements(ks, build=False):
                 if word in seen:
                     continue
+                seq = EnhancedSequence(word)
+                if not seen:
+                    surplus = sequences.twist_surplus(seq)
                 orbit = set(sequences.dihedral_words(word))
                 seen |= orbit
                 nabla = polynomials.statesum_conway(seq)
                 mu, key = class_key(seq, nabla)
                 fields = (mu, key, surplus,
                           nabla.coefficient(1), nabla.coefficient(3), str(nabla))
-                members = classes.setdefault(key, [])
                 for image in orbit:
                     if mu == 2 and image != word:
                         _closed_forms(EnhancedSequence(image), nabla)
                     text = ",".join([text_of[e] for e in image])
-                    rows.append(ClassRow(text, *fields))
-                    members.append(text)
-    rows.sort(key=lambda r: (r.mu, r.key, r.sequence))
-    ordered = tuple(sorted(
-        ((k, tuple(sorted(v))) for k, v in classes.items()),
-        key=lambda item: item[0]))
-    return ClassTable(rows=tuple(rows), classes=ordered)
+                    rows.append((text, *fields))
+    rows.sort(key=operator.itemgetter(1, 2, 0))
+    # A key fixes mu, so each class's rows are consecutive, in text order.
+    classes = sorted((key, tuple([r[0] for r in group]))
+                     for key, group in itertools.groupby(rows, operator.itemgetter(2)))
+    return ClassTable(rows=tuple(map(ClassRow._make, rows)), classes=tuple(classes))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     InternalConsistencyError,
@@ -56,7 +56,6 @@ class Crossing:
 @dataclass(frozen=True)
 class RegionInfo:
     crossings: int
-    sign: Optional[int]          # common crossing sign, None when crossingless
     comp_left: int               # component of the strand entering at top-left
     comp_right: int
 
@@ -155,7 +154,6 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
     # respecting smoothing (Seifert circles).
     strand_joins, side_joins, seifert_joins = [], [], []
     placed = []
-    region_sign: list[Optional[int]] = [None] * u
     for i, e in enumerate(seq):
         n = twists[i]
         if n == 0:
@@ -164,7 +162,7 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
         b_down = or_top[i] == -1
         parallel = (a_down == b_down)
         under_on_nwse = e.k < 0
-        sign = region_sign[i] = (1 if e.k > 0 else -1) * (1 if parallel else -1)
+        sign = (1 if e.k > 0 else -1) * (1 if parallel else -1)
         for j in range(n):
             first = offsets[i] + _FIRST_CORNER + 4 * j
             corner_arcs = arc_of[first:first + 4]
@@ -184,8 +182,7 @@ def build_diagram(seq: EnhancedSequence) -> Diagram:
         Crossing(tuple(pd_id.setdefault(a, len(pd_id)) for a in arcs), sign)
         for arcs, sign in placed)
     regions = tuple(
-        RegionInfo(twists[i], region_sign[i],
-                   comp_of[arc_of[offsets[i] + _TL]],
+        RegionInfo(twists[i], comp_of[arc_of[offsets[i] + _TL]],
                    comp_of[arc_of[offsets[i] + _TR]])
         for i in range(u))
 

@@ -6,9 +6,11 @@ memoized twist-by-twist recursion.  Both bottom out in one count rule,
 finite entries (`_base_counts`); a lemma on base-word orientations (see
 `base_conway`) shows it covers every orientable base word, and the tests
 check it against the diagram oracle.  The state sum groups its 2^u states
-into count classes with one generating polynomial and reads `_base_value`
-once per class on a plain list of entries: O(u^2) polynomial products when
-every region is odd s or inf r, O(u) otherwise.  The twist recursion still
+into count classes in one pass over the regions, with O(u) polynomial
+products.  When every region is odd s or inf r it keeps one pair of
+polynomials in the transfer form, by Conway's skein step on the (2, j)
+torus values that `_base_value` gives; otherwise it keeps two running sums
+and reads `_base_value` on one state's counts.  The twist recursion still
 visits up to 2^u partial sequences, but counts its leaves and calls
 `base_conway`, which checks its word before it applies the rule, once per
 count class through a leaf table that lives for one call; only those
@@ -131,10 +133,11 @@ def _base_value(m: int, zeros: int, ones_s: int) -> tuple[int, ...]:
     """Coefficients of an orientable base word's value from its
     `_base_counts`, by the rules of `base_conway`.
 
-    The state sum reads one value per count class, and a table or a sweep
-    meets few distinct counts, so each value is computed once and kept in
-    a bounded cache that lives across calls, like `_split_resolutions`;
-    every value in it is an immutable tuple."""
+    The state sum reads up to two values per class-B call and the twist
+    recursion one per count class, and a table or a sweep meets few
+    distinct counts, so each value is computed once and kept in a bounded
+    cache that lives across calls, like `_split_resolutions`; every value
+    in it is an immutable tuple."""
     if not m:
         return ()
     if ones_s == m:
@@ -199,7 +202,7 @@ def _split_resolutions(e: Entry) -> tuple[tuple[int, ...], Entry, tuple[int, ...
 
 def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial as a sum over per-region resolutions, grouped by
-    the counts `_base_value` reads.
+    the counts `_base_value` reads, in one pass over the regions.
 
     The state sum adds, over every choice of one resolution per region, the
     product of the chosen coefficients times the value of the resolved
@@ -214,52 +217,71 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
 
     Mark each region's counted resolution by t.  The t^j coefficient of
     prod_i (other_i + marked_i * t) is the summed coefficient of the states
-    with count j, so the sum is sum_j [t^j] * value(one state with count
-    j).  Class A keeps every j: O(u^2) polynomial products.  Class B cuts
-    the product after t^1, so it keeps two running sums, for counts 0 and
-    1: O(u) products.  Each kept class is read as `_base_value` of the
-    `_base_counts` of one state, a plain list of entries that takes each
-    region's only resolution where it has one, and the marked one in the
-    first j - (forced count) regions that have two: no state is built as a
-    sequence or goes through `base_conway`.  The products and the sum run
-    on coefficient tuples, and one ZPoly is built at the end.
+    with count j, so the sum is sum_j [t^j] * value(one state with count j).
+
+    Class A uses the transfer form.  A state with j 1s is worth T_j =
+    torus_conway(-j, R), and Conway's skein step on the (2, j) torus link
+    (Conway 1970) gives T_j = T_(j-2) - z T_(j-1), with T_0 = 0 (no finite
+    entry) and T_1 = 1, so T_(-1) = 1.  Multiplying by t turns the pair
+    (T_(j-1), T_j) into (T_j, T_(j-1) - z T_j).  So the pass keeps one pair
+    (a, b), the coefficient-weighted sum of (T_(j-1), T_j) over the states
+    of the regions so far, starting from (1, 0), updates it by
+    (a, b) <- other * (a, b) + marked * (b, a - z b), and returns b: O(u)
+    products, each O(u) long.  The tests pin T_j against `_base_value`.
+
+    Class B cuts the product after t^1: it keeps two running sums, for
+    counts 0 and 1, and reads each as `_base_value` of one state's counts.
+    The state takes each region's other resolution where it has one and
+    the marked one where that is its only resolution (forced); its
+    `_base_counts` are read once.  A state with one more zero marks the
+    first region with two resolutions, which turns an inf s or 1r into a
+    zero, and its counts are adjusted from the first: no state is built as
+    a sequence or goes through `base_conway`.  The products and sums run on
+    coefficient tuples, and one ZPoly is built at the end.
 
     A resolution keeps whether its region reverses the top bridges and which
     bottom rule it obeys (c in `orientation_data`), so every state is
     orientable exactly when the sequence is; `_require_realizable` checks
     that once.
     """
-    class_a = _require_realizable(seq)
-    splits = [_split_resolutions(e) for e in seq.entries]
-    state = []  # the state with the fewest marked resolutions
-    forced = 0  # regions whose only resolution is the marked one
-    free = []  # regions with two resolutions, in order
-    for i, (marked, marked_entry, other, other_entry) in enumerate(splits):
-        state.append(other_entry if other else marked_entry)
-        forced += not other
-        if marked and other:
-            free.append(i)
-    if class_a:
-        gen = [(1,)]  # gen[j]: summed coefficient of the states with count j
-        for marked, _, other, _ in splits:
-            nxt = [poly_mul(g, other) for g in gen]
+    # Each product takes the region's short coefficient first, so the
+    # kernel's inner loop runs over the long running sum.
+    if _require_realizable(seq):
+        a, b = (1,), ()  # (T_(j-1), T_j) of the empty state: (1, 0)
+        for e in seq.entries:
+            marked, _, other, _ = _split_resolutions(e)
             if marked:
-                nxt.append(())
-                for j, g in enumerate(gen, 1):
-                    nxt[j] = poly_add(nxt[j], poly_mul(g, marked))
-            gen = nxt
-    else:
-        low, high = (1,), ()
-        for marked, _, other, _ in splits:
-            low, high = (poly_mul(low, other),
-                         poly_add(poly_mul(high, other), poly_mul(low, marked)))
-        gen = [low, high] if high else [low]  # () when no state has count 1
-    total = ()
-    for j in range(forced, len(gen)):  # the kept counts a state can have
-        if j > forced:
-            i = free[j - forced - 1]
-            state[i] = splits[i][1]
-        total = poly_add(total, poly_mul(gen[j], _base_value(*_base_counts(state))))
+                a, b = (poly_add(poly_mul(other, a), poly_mul(marked, b)),
+                        poly_add(poly_mul(other, b),
+                                 poly_mul(marked, poly_add(a, [0, *[-c for c in b]]))))
+            else:
+                a, b = poly_mul(other, a), poly_mul(other, b)
+        return ZPoly(b)
+    low, high = (1,), ()
+    state = []  # the state with the fewest zeros
+    forced = 0  # regions whose only resolution is a zero
+    first_free = None  # the other entry of the first region with two
+    for e in seq.entries:
+        marked, marked_entry, other, other_entry = _split_resolutions(e)
+        if not other:
+            forced += 1
+            state.append(marked_entry)
+        else:
+            state.append(other_entry)
+            if marked and first_free is None:
+                first_free = other_entry
+        if high:
+            high = poly_add(poly_mul(other, high), poly_mul(marked, low))
+        else:
+            high = poly_mul(marked, low)
+        low = poly_mul(other, low)
+    m, zeros, ones_s = _base_counts(state)
+    total = poly_mul(low, _base_value(m, zeros, ones_s))
+    if high:
+        if not forced:  # the first region with two turns from inf s or 1r to a zero
+            m += first_free.k is INF
+            zeros += 1
+        total = poly_add(total, poly_mul(high, _base_value(m, zeros, ones_s)))
     return ZPoly(total)
 
 
@@ -335,25 +357,26 @@ def _require_realizable(seq: EnhancedSequence) -> bool:
 
 def a1a3_odd(seq: EnhancedSequence) -> tuple[int, int]:
     """(a1, a3) of an all-odd, even-length pretzel with uniform type."""
-    u = len(seq)
-    if u % 2 != 0 or any(not e.is_odd for e in seq):
+    entries = seq.entries
+    u = len(entries)
+    if u % 2 != 0 or any([e.k is INF or e.k % 2 == 0 for e in entries]):
         raise InvalidSequenceError("expected an all-odd sequence of even length")
-    eps_set = {e.eps for e in seq}
+    eps_set = {e.eps for e in entries}
     if len(eps_set) != 1:
         raise InvalidSequenceError("expected a uniform orientation type")
     eps = eps_set.pop()
     nu = u // 2
-    ps = [(e.k - 1) // 2 for e in seq]
+    ps = [(e.k - 1) // 2 for e in entries]
     e1 = sum(ps)
     if eps is R:
         a1 = nu + e1
-        a3 = (exact_div(a1 * sum(p * (p + 1) for p in ps), 2)
-              - exact_div(sum(p * (p + 1) * (2 * p + 1) for p in ps), 6))
+        a3 = (exact_div(a1 * sum([p * (p + 1) for p in ps]), 2)
+              - exact_div(sum([p * (p + 1) * (2 * p + 1) for p in ps]), 6))
         return a1, a3
     a1 = -nu - e1
     # elementary symmetric sums of degree 2 and 3, by Newton's identities
-    p2 = sum(p * p for p in ps)
-    p3 = sum(p * p * p for p in ps)
+    p2 = sum([p * p for p in ps])
+    p3 = sum([p * p * p for p in ps])
     e2 = exact_div(e1 * e1 - p2, 2)
     e3 = exact_div(e1 ** 3 - 3 * e1 * p2 + 2 * p3, 6)
     a3 = -(exact_div(nu * (nu * nu - 1), 6)

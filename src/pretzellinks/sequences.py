@@ -79,7 +79,7 @@ class Entry(NamedTuple):
         return self.k is not INF and self.k % 2 != 0
 
     def __str__(self) -> str:
-        return f"{'inf' if self.is_inf else self.k}{self.eps}"
+        return f"{'inf' if self.k is INF else self.k}{self.eps}"
 
 
 _ENTRY_RE = re.compile(r"^\s*(?P<k>[+-]?\d+|inf)\s*(?P<eps>[srSR])?\s*$", re.ASCII)
@@ -100,14 +100,16 @@ class EnhancedSequence:
     def __post_init__(self):
         if not self.entries:
             raise InvalidSequenceError("a pretzel sequence needs at least one entry")
+        base = self.base
         for e in self.entries:
             if not isinstance(e, Entry):
                 raise InvalidSequenceError(f"not an Entry: {e!r}")
-            if not isinstance(e.eps, TwistType):
+            k, eps = e
+            if not isinstance(eps, TwistType):
                 raise InvalidSequenceError(f"bad twist type in {e!r}")
-            if type(e.k) is not int and e.k is not INF:  # so a bool is rejected
+            if type(k) is not int and k is not INF:  # so a bool is rejected
                 raise InvalidSequenceError(f"non-integer parameter in {e!r}")
-            if (e.k is INF or e.k == 0) and not self.base:
+            if (k is INF or k == 0) and not base:
                 raise InvalidSequenceError(
                     f"entry {e} is only allowed in internal base sequences")
 
@@ -187,7 +189,7 @@ def _check_plain(ks: Sequence[int]) -> tuple[int, ...]:
     ks = tuple(ks)
     if not ks:
         raise InvalidSequenceError("empty pretzel sequence")
-    if any(k == 0 for k in ks):
+    if 0 in ks:
         raise InvalidSequenceError("pretzel parameters must be nonzero")
     return ks
 
@@ -205,7 +207,7 @@ def component_count(ks: Sequence[int] | EnhancedSequence) -> int:
         ks = [e.k for e in ks.entries]
     else:
         ks = _check_plain(ks)
-    evens = sum(1 for k in ks if k % 2 == 0)
+    evens = [k % 2 for k in ks].count(0)
     if evens == 0:
         return 1 if len(ks) % 2 == 1 else 2
     return evens
@@ -288,7 +290,9 @@ def is_realizable(seq: EnhancedSequence) -> bool:
     return True
 
 
-def enumerate_enhancements(ks: Sequence[int]) -> list[EnhancedSequence]:
+def enumerate_enhancements(
+        ks: Sequence[int], build: bool = True,
+) -> list[EnhancedSequence] | list[tuple[Entry, ...]]:
     """All realizable type assignments, in binary-counter order (S before R,
     the first entry most significant).
 
@@ -297,15 +301,26 @@ def enumerate_enhancements(ks: Sequence[int]) -> list[EnhancedSequence]:
     bridges close up, so all S with no even entry.  With c = -1 no region is
     odd s, so every odd entry is R, and the number of R is even for the top
     bridges to close up; with no even entry that is all R when u is even.
-    `itertools.product` over each entry's allowed tags runs in counter order.
+    `itertools.product` over each entry's allowed tags runs in counter order,
+    and over each entry's allowed entries in step with it, so each entry
+    is built once, not once per word.
+
+    Each word is an EnhancedSequence; with build=False it is left as its
+    tuple of entries, for a caller that builds a sequence only for some.
     """
     ks = _check_plain(ks)
-    if all(k % 2 for k in ks):
-        words = [(S,) * len(ks)] + ([(R,) * len(ks)] if len(ks) % 2 == 0 else [])
+    odd = [k % 2 for k in ks]
+    if 0 not in odd:
+        words = [tuple([Entry(k, S) for k in ks])]
+        if len(ks) % 2 == 0:
+            words.append(tuple([Entry(k, R) for k in ks]))
     else:
-        allowed = [(S, R) if k % 2 == 0 else (R,) for k in ks]
-        words = [w for w in itertools.product(*allowed) if w.count(R) % 2 == 0]
-    return [EnhancedSequence(tuple(map(Entry, ks, tags))) for tags in words]
+        tags = [(R,) if o else (S, R) for o in odd]
+        entries = [(Entry(k, R),) if o else (Entry(k, S), Entry(k, R))
+                   for k, o in zip(ks, odd)]
+        words = [w for t, w in zip(itertools.product(*tags), itertools.product(*entries))
+                 if t.count(R) % 2 == 0]
+    return [EnhancedSequence(w) for w in words] if build else words
 
 
 def even_subsequence(seq: EnhancedSequence) -> EnhancedSequence:
@@ -318,9 +333,16 @@ def even_subsequence(seq: EnhancedSequence) -> EnhancedSequence:
 
 def twist_surplus(seq: EnhancedSequence) -> int:
     """Sum of the odd parameters minus the number of parameters equal to -2."""
-    odd_sum = sum(e.k for e in seq if e.is_odd)
-    minus_twos = sum(1 for e in seq if not e.is_inf and e.k == -2)
-    return odd_sum - minus_twos
+    surplus = 0
+    for e in seq.entries:
+        k = e.k
+        if k is INF:
+            continue
+        if k % 2:
+            surplus += k
+        elif k == -2:
+            surplus -= 1
+    return surplus
 
 
 def normalize_even(seq: EnhancedSequence) -> EnhancedSequence:
@@ -334,7 +356,7 @@ def _normal_evens(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
     """The even entries in cyclic order, each -2 flipped to +2 with the
     opposite type."""
     return tuple(Entry(2, e.eps.flipped) if e.k == -2 else e
-                 for e in entries if e.is_even)
+                 for e in entries if e.k is not INF and e.k % 2 == 0)
 
 
 def dihedral_words(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
@@ -347,16 +369,16 @@ def dihedral_words(entries: tuple[Entry, ...]) -> Iterator[tuple[Entry, ...]]:
 
 def _entry_sort_key(e: Entry):
     # INF sorts after all integers; S before R.
-    return (1, 0, int(e.eps)) if e.k is INF else (0, e.k, int(e.eps))
+    return (1, 0, e.eps) if e.k is INF else (0, e.k, e.eps)
 
 
-def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
-    """Lexicographically least word over all rotations and reflections."""
-    # Words compare by their entries' sort keys, computed once per entry;
-    # the key is one-to-one, so the least word of keys names the least word.
-    # It starts at a least key, so only the rotations of the word and of its
-    # reverse that start there are compared.
-    keys = [_entry_sort_key(e) for e in entries]
+def _least_turn(keys: Sequence) -> tuple[Sequence, int, bool]:
+    """(least word, start, reversed) over the rotations and reflections of
+    keys, a list or tuple of comparable values: the rotation of the word
+    (reversed=False) or of its reverse (True) that starts at index start.
+
+    The least word starts at a least value, so only the rotations of the
+    word and of its reverse that start there are compared."""
     u = len(keys)
     low = min(keys)
     ring = keys + keys
@@ -370,6 +392,20 @@ def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
             word = back[u - 1 - t:2 * u - 1 - t]
             if word < least:
                 least, start, reverse = word, t, True
+    return least, start, reverse
+
+
+def is_dihedral_least(ks: tuple) -> bool:
+    """Whether the tuple ks is the least of its rotations and reflections."""
+    return ks[0] == min(ks) and _least_turn(ks)[0] == ks
+
+
+def dihedral_canonical(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:
+    """Lexicographically least word over all rotations and reflections."""
+    # Words compare by their entries' sort keys, computed once per entry;
+    # the key is one-to-one, so the least word of keys names the least word.
+    u = len(entries)
+    _, start, reverse = _least_turn([_entry_sort_key(e) for e in entries])
     if reverse:
         return tuple(entries[(start - i) % u] for i in range(u))
     return entries[start:] + entries[:start]

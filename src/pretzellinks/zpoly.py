@@ -28,19 +28,6 @@ def exact_div(numerator: int, divisor: int) -> int:
     return q
 
 
-def binomial(alpha: int, n: int) -> int:
-    """Generalized binomial coefficient C(alpha, n), alpha any integer, n >= 0."""
-    if n < 0:
-        raise ValueError("lower index must be nonnegative")
-    num = 1
-    for i in range(n):
-        num *= alpha - i
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return exact_div(num, fact)
-
-
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Coefficients of the product of two coefficient sequences, lowest
     degree first; every product of two polynomials in the package comes
@@ -269,11 +256,6 @@ class ZPoly:
                 exp = int(m.group("exp")) if m.group("exp") else 1
             terms.append((exp, coeff))
         return cls.from_pairs(terms)
-
-
-def coefficient(f: ZPoly, i: int) -> int:
-    """Extract the z^i coefficient of f."""
-    return f.coefficient(i)
 
 
 class LaurentZ:

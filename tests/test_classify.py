@@ -441,9 +441,9 @@ def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
     for module, name in ((polynomials, "statesum_conway"), (classify, "class_key"),
                          (sequences, "twist_surplus"),
                          (sequences, "enumerate_enhancements")):
-        def counting(*args, _f=getattr(module, name), _name=name):
+        def counting(*args, _f=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _f(*args)
+            return _f(*args, **kwargs)
         monkeypatch.setattr(module, name, counting)
 
     def forbidden(s):
@@ -461,6 +461,32 @@ def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
     # No state survives the call: a second call does the same work again.
     enumerate_classes(3, 2)
     assert calls == {name: 2 * n for name, n in first.items()}
+
+
+@pytest.mark.parametrize("bounds, orbits", [((3, 2), 48), ((4, 3), 539)])
+def test_enumerate_classes_builds_one_sequence_per_orbit(monkeypatch, bounds, orbits):
+    # The walk takes the tag words from enumerate_enhancements unbuilt and
+    # builds a sequence only for each word it analyses, one per orbit.
+    # Every other sequence built is a check: the closed forms on each
+    # 2-component image besides the analysed word, and the canonical even
+    # key of each orbit with mu >= 3.
+    built = []
+    init = EnhancedSequence.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        init(self)
+
+    monkeypatch.setattr(EnhancedSequence, "__post_init__", counting)
+    table = enumerate_classes(*bounds)
+    monkeypatch.undo()
+    mu_of = {dihedral_canonical(EnhancedSequence.parse(r.sequence).entries): r.mu
+             for r in table.rows}
+    assert len(mu_of) == orbits
+    mu2_checks = sum(r.mu == 2 for r in table.rows) - sum(
+        mu == 2 for mu in mu_of.values())
+    even_keys = sum(mu >= 3 for mu in mu_of.values())
+    assert len(built) - mu2_checks - even_keys == orbits
 
 
 @pytest.mark.parametrize("bounds", [(3, 2), (4, 3)])

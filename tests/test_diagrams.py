@@ -6,7 +6,7 @@ import pytest
 
 from bareiss_reference import dense_laurent_det, x_form_conway
 from conftest import all_plain_sequences, parity_law_ok, random_deep_words, seq
-from link_reference import region_linking_matrix
+from link_reference import region_linking_matrix, region_signs
 from pretzellinks import diagrams
 from pretzellinks.diagrams import (
     Diagram,
@@ -593,7 +593,8 @@ def test_diagram_outputs_golden():
     count = 0
     for s in _golden_inputs():
         d = build_diagram(s)
-        regions = tuple((r.comp_left, r.comp_right, r.sign) for r in d.regions)
+        regions = tuple((r.comp_left, r.comp_right, sign)
+                        for r, sign in zip(d.regions, region_signs(d)))
         record = repr((str(s), pd_code(d), region_linking_matrix(d),
                        d.ncomponents, d.is_split, d.seifert_circles,
                        d.free_loops, regions))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import parity_law_ok, seq
+from binomial_reference import binomial
 from statesum_reference import _resolutions, statesum_reference
 from pretzellinks import diagrams, polynomials
 from pretzellinks.errors import (
@@ -34,7 +35,7 @@ from pretzellinks.sequences import (
     S,
     enumerate_enhancements,
 )
-from pretzellinks.zpoly import ZPoly, binomial
+from pretzellinks.zpoly import ZPoly
 
 Z = ZPoly.term(1, 1)
 
@@ -407,6 +408,64 @@ def test_statesum_reads_counts_only(monkeypatch):
         counts.clear()
         assert statesum_conway(s) == want, str(s)
         assert counts == {"orientation_data": 1}, (str(s), counts)
+
+
+def test_transfer_recurrence_matches_the_count_rule():
+    """Class A's transfer form takes the value of a state with j 1s from
+    T_j = T_(j-2) - z T_(j-1), T_(-1) = 1, T_0 = 0 (Conway's skein step on
+    the (2, j) torus link); the count rule gives it directly."""
+    prev, cur = ZPoly.one(), ZPoly.zero()
+    for j in range(12):
+        assert cur.coeffs == polynomials._base_value(j, 0, j), j
+        prev, cur = cur, prev - Z * cur
+
+
+def _counted_kernels(monkeypatch):
+    """Route the state sum's kernels through a counter of calls and of the
+    coefficient pairs they form: a product forms len(b) pairs for each
+    nonzero coefficient of its first factor a, and none when a factor is
+    zero or exactly 1; a sum adds the shorter sequence into the longer."""
+    counts = collections.Counter()
+
+    def mul(a, b, _f=polynomials.poly_mul):
+        counts["poly_mul"] += 1
+        if a and b and a != (1,) and b != (1,):
+            counts["mul_pairs"] += len(b) * sum(1 for c in a if c)
+        return _f(a, b)
+
+    def add(a, b, _f=polynomials.poly_add):
+        counts["poly_add"] += 1
+        counts["add_pairs"] += min(len(a), len(b))
+        return _f(a, b)
+
+    monkeypatch.setattr(polynomials, "poly_mul", mul)
+    monkeypatch.setattr(polynomials, "poly_add", add)
+    return counts
+
+
+# Kernel work of one state sum, as upper bounds: (poly_mul calls, poly_add
+# calls, pairs the products form, pairs the sums form).  (3s,-5s)^n is class
+# A (the transfer form), (3r,-2r)^n class B; u = 2n.
+STATESUM_WORK = {
+    ("3s,-5s", 25): (200, 150, 2_499, 3_774),
+    ("3s,-5s", 50): (400, 300, 9_999, 15_049),
+    ("3s,-5s", 100): (800, 600, 39_999, 60_099),
+    ("3r,-2r", 25): (151, 50, 8_643, 2_048),
+    ("3r,-2r", 50): (301, 100, 34_168, 7_848),
+    ("3r,-2r", 100): (601, 200, 135_843, 30_698),
+}
+
+
+@pytest.mark.parametrize("pair, n", sorted(STATESUM_WORK))
+def test_statesum_kernel_work_is_pinned(monkeypatch, pair, n):
+    """Both classes take O(u) kernel calls, each O(u) long; the pins are
+    the measured counts."""
+    s = EnhancedSequence.parse(",".join([pair] * n))
+    counts = _counted_kernels(monkeypatch)
+    assert not statesum_conway(s).is_zero()
+    got = (counts["poly_mul"], counts["poly_add"],
+           counts["mul_pairs"], counts["add_pairs"])
+    assert all(g <= pin for g, pin in zip(got, STATESUM_WORK[pair, n])), got
 
 
 @pytest.mark.parametrize("u", [10, 12])

@@ -20,6 +20,7 @@ from pretzellinks.sequences import (
     dihedral_words,
     enumerate_enhancements,
     even_subsequence,
+    is_dihedral_least,
     is_erasable,
     is_realizable,
     normalize_even,
@@ -95,6 +96,17 @@ def test_enumerate_enhancements_is_the_realizable_filter():
                 for tags in itertools.product((S, R), repeat=u))
                 if is_realizable(w)]
             assert enumerate_enhancements(ks) == want, ks
+
+
+def test_enumerate_enhancements_unbuilt_words_are_the_entries():
+    # build=False gives each realizable word as its tuple of entries, in
+    # the same order, and builds no sequence.
+    values = [k for k in range(-3, 4) if k != 0]
+    for u in range(1, 5):
+        for ks in itertools.product(values, repeat=u):
+            words = enumerate_enhancements(ks, build=False)
+            assert words == [s.entries for s in enumerate_enhancements(ks)], ks
+            assert all(type(w) is tuple for w in words)
 
 
 @given(plain_seqs)
@@ -215,6 +227,20 @@ def test_dihedral_canonical_is_least_by_definition():
             assert dihedral_canonical(w) == least, w
             count += 1
     assert count == 22620
+
+
+def test_is_dihedral_least_by_definition():
+    # Every twist word with u <= 5 and |k| <= 3 (9,330), against the least
+    # of all its rotations and reflections.
+    values = [k for k in range(-3, 4) if k != 0]
+    count = least = 0
+    for u in range(1, 6):
+        for ks in itertools.product(values, repeat=u):
+            want = ks == min(dihedral_words(ks))
+            assert is_dihedral_least(ks) == want, ks
+            count += 1
+            least += want
+    assert count == 9330 and 0 < least < count
 
 
 def test_dihedral_canonical_is_least_on_wide_tied_words():

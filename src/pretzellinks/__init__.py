@@ -20,11 +20,9 @@ from .sequences import (
     canonical_key,
     component_count,
     enumerate_enhancements,
-    even_subsequence,
     is_erasable,
     is_realizable,
     linking_matrix,
-    normalize_even,
     pairing_respects_orientation,
     parse_plain,
     twist_surplus,

@@ -15,7 +15,13 @@ import sys
 from typing import Optional
 
 from . import classify, diagrams, polynomials, sequences
-from .errors import InternalConsistencyError, PretzelInputError
+from .errors import (
+    InternalConsistencyError,
+    ParseError,
+    PretzelInputError,
+    parse_int,
+    quoted,
+)
 from .sequences import EnhancedSequence
 from .zpoly import ZPoly
 
@@ -239,23 +245,17 @@ def _cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
-# Characters of a rejected option value that its error message quotes.
-QUOTED_PREFIX = 20
-
-
 def _ascii_int(text: str) -> int:
     """An integer option: an optional sign and ASCII digits only (int()
     alone also takes every other Unicode decimal digit).  Digits past
-    int()'s conversion limit (sys.get_int_max_str_digits) are rejected
-    too, and a message quotes at most QUOTED_PREFIX characters."""
-    quoted = repr(text[:QUOTED_PREFIX]) + ("..." if len(text) > QUOTED_PREFIX else "")
+    int()'s conversion limit are rejected too (`errors.parse_int`), and a
+    message quotes a bounded prefix (`errors.quoted`)."""
     if not re.fullmatch(r"[+-]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid integer: {quoted}")
+        raise argparse.ArgumentTypeError(f"invalid integer: {quoted(text)}")
     try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"integer too long: {quoted} ({len(text)} characters)") from None
+        return parse_int(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

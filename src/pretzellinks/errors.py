@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer conversion
+that raises one for text past int()'s limit."""
+
+# Characters of a rejected text that an error message quotes.
+QUOTED_PREFIX = 20
 
 
 class PretzelInputError(ValueError):
@@ -15,6 +19,22 @@ class UnrealizableOrientationError(PretzelInputError):
 
 class ParseError(PretzelInputError):
     """Malformed sequence or polynomial text."""
+
+
+def quoted(text: str) -> str:
+    """repr of text's first QUOTED_PREFIX characters, '...' marking a cut."""
+    return repr(text[:QUOTED_PREFIX]) + ("..." if len(text) > QUOTED_PREFIX else "")
+
+
+def parse_int(digits: str) -> int:
+    """int(digits) of a signed ASCII digit string; a ParseError, quoting at
+    most QUOTED_PREFIX characters, past int()'s conversion limit
+    (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer too long: {quoted(digits)} ({len(digits)} characters)") from None
 
 
 class ResourceLimitError(PretzelInputError):

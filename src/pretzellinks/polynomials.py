@@ -9,8 +9,9 @@ check it against the diagram oracle.  The state sum groups its 2^u states
 into count classes in one pass over the regions, with O(u) polynomial
 products.  When every region is odd s or inf r it keeps one pair of
 polynomials in the transfer form, by Conway's skein step on the (2, j)
-torus values that `_base_value` gives; otherwise it keeps two running sums
-and reads `_base_value` on one state's counts.  The twist recursion still
+torus values that `_base_value` gives; otherwise it keeps two running sums,
+for the states with no zero and with one, and reads `_base_value` on counts
+taken off the word, with no state built.  The twist recursion still
 visits up to 2^u partial sequences, but counts its leaves and calls
 `base_conway`, which checks its word before it applies the rule, once per
 count class through a leaf table that lives for one call; only those
@@ -133,11 +134,12 @@ def _base_value(m: int, zeros: int, ones_s: int) -> tuple[int, ...]:
     """Coefficients of an orientable base word's value from its
     `_base_counts`, by the rules of `base_conway`.
 
-    The state sum reads up to two values per class-B call and the twist
-    recursion one per count class, and a table or a sweep meets few
-    distinct counts, so each value is computed once and kept in a bounded
-    cache that lives across calls, like `_split_resolutions`; every value
-    in it is an immutable tuple."""
+    The state sum reads two values per class-B call, at (n, 0, 0) and
+    (n + 1, 1, 0) for its n r regions, and the twist recursion one per
+    count class; a table or a sweep meets few distinct counts, so each
+    value is computed once and kept in a bounded cache that lives across
+    calls, like `_split_resolutions`; every value in it is an immutable
+    tuple."""
     if not m:
         return ()
     if ones_s == m:
@@ -230,13 +232,13 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     products, each O(u) long.  The tests pin T_j against `_base_value`.
 
     Class B cuts the product after t^1: it keeps two running sums, for
-    counts 0 and 1, and reads each as `_base_value` of one state's counts.
-    The state takes each region's other resolution where it has one and
-    the marked one where that is its only resolution (forced); its
-    `_base_counts` are read once.  A state with one more zero marks the
-    first region with two resolutions, which turns an inf s or 1r into a
-    zero, and its counts are adjusted from the first: no state is built as
-    a sequence or goes through `base_conway`.  The products and sums run on
+    counts 0 and 1, and reads their values off the word.  Every r region
+    is finite and their number n is even, and a state with no zero takes
+    1r in each, so its counts are (n, 0, 0); a state with one zero is worth
+    1.  A region whose only resolution is a zero (a base word's 0s or 0r)
+    has no other coefficient, so it empties the count-0 sum and leaves the
+    count-1 sum to the states that take it; two such regions empty both.
+    No state is built or counted.  The products and sums run on
     coefficient tuples, and one ZPoly is built at the end.
 
     A resolution keeps whether its region reverses the top bridges and which
@@ -258,31 +260,17 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
                 a, b = poly_mul(other, a), poly_mul(other, b)
         return ZPoly(b)
     low, high = (1,), ()
-    state = []  # the state with the fewest zeros
-    forced = 0  # regions whose only resolution is a zero
-    first_free = None  # the other entry of the first region with two
     for e in seq.entries:
-        marked, marked_entry, other, other_entry = _split_resolutions(e)
-        if not other:
-            forced += 1
-            state.append(marked_entry)
-        else:
-            state.append(other_entry)
-            if marked and first_free is None:
-                first_free = other_entry
+        marked, _, other, _ = _split_resolutions(e)
         if high:
             high = poly_add(poly_mul(other, high), poly_mul(marked, low))
         else:
             high = poly_mul(marked, low)
         low = poly_mul(other, low)
-    m, zeros, ones_s = _base_counts(state)
-    total = poly_mul(low, _base_value(m, zeros, ones_s))
-    if high:
-        if not forced:  # the first region with two turns from inf s or 1r to a zero
-            m += first_free.k is INF
-            zeros += 1
-        total = poly_add(total, poly_mul(high, _base_value(m, zeros, ones_s)))
-    return ZPoly(total)
+    n = sum(e.eps is R for e in seq.entries)
+    # A state with one zero is an unknot, worth 1 whatever its m >= 1.
+    return ZPoly(poly_add(poly_mul(low, _base_value(n, 0, 0)),
+                          poly_mul(high, _base_value(n + 1, 1, 0))))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     InvalidSequenceError,
     ParseError,
     UnrealizableOrientationError,
+    parse_int,
 )
 
 
@@ -73,10 +74,6 @@ class Entry(NamedTuple):
     @property
     def is_even(self) -> bool:
         return self.k is not INF and self.k % 2 == 0
-
-    @property
-    def is_odd(self) -> bool:
-        return self.k is not INF and self.k % 2 != 0
 
     def __str__(self) -> str:
         return f"{'inf' if self.k is INF else self.k}{self.eps}"
@@ -150,7 +147,7 @@ class EnhancedSequence:
             if not m or m.group("eps") is None:
                 raise ParseError(f"bad enhanced entry: {tok!r}")
             k_s = m.group("k")
-            k = INF if k_s == "inf" else int(k_s)
+            k = INF if k_s == "inf" else parse_int(k_s)
             eps = S if m.group("eps").lower() == "s" else R
             entries.append(Entry(k, eps))
         return cls(tuple(entries), base=base)
@@ -176,7 +173,7 @@ def parse_plain(text: str) -> tuple[int, ...]:
         m = _ENTRY_RE.match(tok)
         if not m or m.group("eps") is not None or m.group("k") == "inf":
             raise ParseError(f"bad plain entry: {tok!r}")
-        ks.append(int(m.group("k")))
+        ks.append(parse_int(m.group("k")))
     return tuple(ks)
 
 
@@ -323,14 +320,6 @@ def enumerate_enhancements(
     return [EnhancedSequence(w) for w in words] if build else words
 
 
-def even_subsequence(seq: EnhancedSequence) -> EnhancedSequence:
-    """Subsequence of even-parameter entries, in original cyclic order."""
-    evens = tuple(e for e in seq if e.is_even)
-    if not evens:
-        raise InvalidSequenceError("sequence has no even parameters")
-    return EnhancedSequence(evens, base=seq.base)
-
-
 def twist_surplus(seq: EnhancedSequence) -> int:
     """Sum of the odd parameters minus the number of parameters equal to -2."""
     surplus = 0
@@ -343,13 +332,6 @@ def twist_surplus(seq: EnhancedSequence) -> int:
         elif k == -2:
             surplus -= 1
     return surplus
-
-
-def normalize_even(seq: EnhancedSequence) -> EnhancedSequence:
-    """Flip every -2 entry to +2 with the opposite type; requires all-even input."""
-    if any(not e.is_even for e in seq):
-        raise InvalidSequenceError("normalize_even expects an all-even sequence")
-    return EnhancedSequence(_normal_evens(seq.entries), base=seq.base)
 
 
 def _normal_evens(entries: tuple[Entry, ...]) -> tuple[Entry, ...]:

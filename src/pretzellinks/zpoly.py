@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalConsistencyError, ParseError
+from .errors import InternalConsistencyError, ParseError, parse_int
 
 
 def exact_div(numerator: int, divisor: int) -> int:
@@ -250,10 +250,10 @@ class ZPoly:
                     raise ParseError(f"bad polynomial term: {chunk!r}")
                 coeff = -1 if coeff_s == "-" else 1
             else:
-                coeff = int(coeff_s)
+                coeff = parse_int(coeff_s)
             exp = 0
             if has_z:
-                exp = int(m.group("exp")) if m.group("exp") else 1
+                exp = parse_int(m.group("exp")) if m.group("exp") else 1
             terms.append((exp, coeff))
         return cls.from_pairs(terms)
 

@@ -50,8 +50,6 @@ from pretzellinks.sequences import (
     dihedral_canonical,
     dihedral_words,
     enumerate_enhancements,
-    even_subsequence,
-    normalize_even,
     orientation_respecting_pairing,
     twist_surplus,
 )
@@ -356,7 +354,7 @@ def _gap_linking(s):
 
 
 def _even_word(s):
-    return normalize_even(even_subsequence(s)).entries
+    return tuple(Entry(2, e.eps.flipped) if e.k == -2 else e for e in s if e.k % 2 == 0)
 
 
 def _certificate_gap_permutation(x, y):
@@ -384,7 +382,7 @@ def test_criterion_8_necessary_condition_soundness():
             if key in seen:
                 continue
             seen.add(key)
-            label = (str(canonical_key(even_subsequence(s))), twist_surplus(s))
+            label = (str(canonical_key(s)), twist_surplus(s))
             classes.setdefault(label, []).append(s)
     pairs_checked = 0
     multi = 0

@@ -3,17 +3,20 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 from pretzellinks import polynomials
 from pretzellinks.cli import main
+from pretzellinks.errors import ParseError
 from pretzellinks.sequences import (
     EnhancedSequence,
     Entry,
     dihedral_words,
     enumerate_enhancements,
     is_realizable,
+    parse_plain,
 )
 from pretzellinks.zpoly import ZPoly
 
@@ -50,6 +53,21 @@ def test_conway_rejects_garbage(capsys):
     assert run(capsys, "conway", "\uff13s,\uff13s")[0] == 2
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no conversion limit")
+def test_overlong_integer_is_a_parse_error(capsys):
+    """Digits past int()'s conversion limit give a ParseError that quotes a
+    bounded prefix, from every text parser, and exit 2 from the CLI."""
+    digits = "5" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, "conway", f"{digits}r,1r")
+    assert code == 2 and not out
+    assert err.startswith("error: integer too long") and len(err) < 100, err
+    for parse, text in ((parse_plain, f"{digits},1"), (ZPoly.parse, f"{digits}z"),
+                        (ZPoly.parse, f"z^{digits}")):
+        with pytest.raises(ParseError, match="integer too long"):
+            parse(text)
+
+
 def test_equiv_fixture(capsys):
     code, out, _ = run(capsys, "equiv", "4s,5r,6r,-2r,-3r",
                        "6r,2s,7r,4s,-5r,-1r", "--relation", "self-delta")
@@ -83,7 +101,7 @@ def equiv_pairs(n, seed):
         if i % 4 == 0:
             b = rng.choice(pool[len(a)])
         elif i % 4 == 2:
-            odd = [j for j, e in enumerate(b) if e.is_odd]
+            odd = [j for j, e in enumerate(b) if e.k % 2]
             ks = [e.k for e in b]
             for j, k in zip(odd, rng.sample([ks[j] for j in odd], len(odd))):
                 ks[j] = k

@@ -278,15 +278,28 @@ def test_laurent_det_skips_zero_products(monkeypatch):
     assert value == x_form_conway(rows)
 
 
-def test_oracle_forms_few_coefficient_pairs(monkeypatch):
-    """Coefficient pairs over the elimination's products for
-    10r,-9r,11r,2r: 191,842 in y = x^2, where the same elimination on
-    three-slot entries in x formed 688,106."""
-    s = EnhancedSequence.parse("10r,-9r,11r,2r")
+# Coefficient pairs over the oracle's elimination products, as upper
+# bounds: word -> (Seifert-matrix size n, pairs measured).
+ORACLE_PAIRS = {
+    "5r,-4r,6r,2r": (14, 11_197),
+    "10r,-9r,11r,2r": (29, 191_842),
+    "20r,-19r,21r,2r": (59, 3_159_232),
+}
+
+
+@pytest.mark.parametrize("word", sorted(ORACLE_PAIRS, key=ORACLE_PAIRS.get))
+def test_oracle_forms_few_coefficient_pairs(monkeypatch, word):
+    """Coefficient pairs over the elimination's products in y = x^2, pinned
+    at n = 14, 29 and 59; at n = 29 the same elimination on three-slot
+    entries in x formed 688,106."""
+    s = EnhancedSequence.parse(word)
+    size, pin = ORACLE_PAIRS[word]
+    rows = seifert_matrix(build_diagram(s)).rows
+    assert len(rows) == size
     counts = _counted_products(monkeypatch)
     value = oracle_conway(s)
-    assert 0 < counts[1] <= 250_000
-    assert value == x_form_conway(seifert_matrix(build_diagram(s)).rows)
+    assert 0 < counts[1] <= pin
+    assert value == x_form_conway(rows)
 
 
 def test_seifert_matrix_split_raises():
@@ -477,7 +490,7 @@ def test_odd_spread_preserves_linking():
     for s in (seq((4, S), (5, R), (6, R), (-2, R), (-3, R)),
               seq((2, S), (3, R), (4, S), (3, R))):
         d = build_diagram(s)
-        i, e = next((i, e) for i, e in enumerate(s) if e.is_odd and abs(e.k) >= 3)
+        i, e = next((i, e) for i, e in enumerate(s) if e.k % 2 and abs(e.k) >= 3)
         unit = Entry(1 if e.k > 0 else -1, R)
         ent = list(s.entries)
         ent[i:i + 1] = [unit] * abs(e.k)

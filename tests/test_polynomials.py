@@ -352,7 +352,13 @@ def test_goldens_hold_with_a_cold_and_a_warm_split_cache():
         assert warm.misses == cold.misses and warm.hits > cold.hits
 
 
-def test_twistreduce_builds_one_table_per_call(monkeypatch):
+# The twist recursion's work on (3r,-2r)^n, measured: (dihedral_canonical
+# calls, leaves counted outside base_conway, base_conway calls); u = 2n.
+TWISTREDUCE_WORK = {5: (465, 332, 11), 6: (1461, 1098, 13), 7: (4755, 3730, 15)}
+
+
+@pytest.mark.parametrize("n", sorted(TWISTREDUCE_WORK))
+def test_twistreduce_builds_one_table_per_call(monkeypatch, n):
     """phi/psi run at most once per region per call, and the memo's visits
     (dihedral_canonical calls), the leaves (count passes outside
     base_conway) and the base_conway calls, one per count class, are
@@ -364,12 +370,12 @@ def test_twistreduce_builds_one_table_per_call(monkeypatch):
             counts[_name] += 1
             return _f(*args)
         monkeypatch.setattr(polynomials, name, counted)
-    s = EnhancedSequence.parse(",".join(["3r", "-2r"] * 6))
+    s = EnhancedSequence.parse(",".join(["3r", "-2r"] * n))
     twistreduce_conway(s)
     assert counts["phi_poly"] <= len(s) and counts["psi_poly"] <= len(s)
-    assert counts["dihedral_canonical"] == 1461
-    assert counts["_base_counts"] - counts["base_conway"] == 1098
-    assert counts["base_conway"] == 13
+    got = (counts["dihedral_canonical"],
+           counts["_base_counts"] - counts["base_conway"], counts["base_conway"])
+    assert got == TWISTREDUCE_WORK[n]
 
 
 def test_twistreduce_leaf_table_lives_for_one_call(monkeypatch):
@@ -389,17 +395,20 @@ def test_twistreduce_leaf_table_lives_for_one_call(monkeypatch):
 
 
 def test_statesum_reads_counts_only(monkeypatch):
-    """The state sum reads each count class off `_base_value`: no state goes
+    """The state sum reads each count class off `_base_value` at counts
+    taken from the word: no state is counted (`_base_counts`) or goes
     through base_conway, and orientation_data runs once per call, in
-    `_require_realizable`.  Class A, class B, and a base word with two
-    forced zeros, past class B's cap."""
+    `_require_realizable`.  Class A, class B, base words with one and two
+    forced zeros, and class B with no r region."""
     words = [EnhancedSequence.parse(",".join(["3s", "-5s"] * 3)),
              EnhancedSequence.parse(",".join(["3r", "-2r"] * 3)),
-             EnhancedSequence.parse("0r,0r,2s", base=True)]
+             EnhancedSequence.parse("0r,0r,2s", base=True),
+             EnhancedSequence.parse("0s,2s", base=True),
+             EnhancedSequence.parse("2s,4s")]
     wants = [statesum_reference(s) for s in words]
-    assert wants[2] == ZPoly.zero()
+    assert wants[2:] == [ZPoly.zero(), -Z, -3 * Z]
     counts = collections.Counter()
-    for name in ("base_conway", "orientation_data"):
+    for name in ("base_conway", "orientation_data", "_base_counts"):
         def counted(*args, _f=getattr(polynomials, name), _name=name):
             counts[_name] += 1
             return _f(*args)

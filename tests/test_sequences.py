@@ -19,11 +19,9 @@ from pretzellinks.sequences import (
     dihedral_canonical,
     dihedral_words,
     enumerate_enhancements,
-    even_subsequence,
     is_dihedral_least,
     is_erasable,
     is_realizable,
-    normalize_even,
     orientation_respecting_pairing,
     pairing_respects_orientation,
     parse_plain,
@@ -116,15 +114,7 @@ def test_enhancements_are_realizable_with_even_r_count(ks):
         assert sum(1 for e in s if e.eps is R) % 2 == 0
 
 
-# -- even subsequence, twist surplus, normalization --------------------------------
-
-
-def test_even_subsequence_examples():
-    s = seq((4, S), (5, R), (6, R), (-2, R), (-3, R))
-    assert even_subsequence(s) == seq((4, S), (6, R), (-2, R))
-    assert even_subsequence(seq((2, S), (-2, S))) == seq((2, S), (-2, S))
-    with pytest.raises(InvalidSequenceError):
-        even_subsequence(seq((1, S), (1, S)))
+# -- twist surplus ----------------------------------------------------------------
 
 
 def test_twist_surplus_examples():
@@ -139,21 +129,6 @@ def test_twist_surplus_rotation_reversal_invariant(s, t):
     rotated = EnhancedSequence(s.entries[t:] + s.entries[:t])
     reversed_ = EnhancedSequence(tuple(reversed(s.entries)))
     assert twist_surplus(rotated) == twist_surplus(s) == twist_surplus(reversed_)
-
-
-def test_normalize_even_examples():
-    assert normalize_even(seq((4, S), (6, R), (-2, R))) == seq((4, S), (6, R), (2, S))
-    assert normalize_even(seq((-2, S), (-2, R))) == seq((2, R), (2, S))
-    assert normalize_even(seq((4, S), (6, R))) == seq((4, S), (6, R))
-    with pytest.raises(InvalidSequenceError):
-        normalize_even(seq((3, S), (4, S)))
-
-
-@given(st.lists(st.tuples(st.sampled_from([-4, -2, 2, 4, 6]), types),
-                min_size=1, max_size=5))
-def test_normalize_even_idempotent(pairs):
-    s = EnhancedSequence.of(*pairs)
-    assert normalize_even(normalize_even(s)) == normalize_even(s)
 
 
 # -- cyclic equivalence and canonical keys -------------------------------
@@ -193,6 +168,9 @@ def test_canonical_key_examples():
 def test_canonical_key_separates_orbits_exhaustively():
     # All all-even sequences with u <= 3 over {-4,-2,2,4}: keys agree exactly
     # on cyclic-dihedral orbits after the -2 identification.
+    def flip(s):  # each -2 to +2 of the other type
+        return EnhancedSequence(tuple(Entry(2, e.eps.flipped) if e.k == -2 else e for e in s))
+
     values = [-4, -2, 2, 4]
     pool = []
     for u in range(1, 4):
@@ -204,7 +182,7 @@ def test_canonical_key_separates_orbits_exhaustively():
             if len(a) != len(b):
                 continue
             same_key = canonical_key(a).entries == canonical_key(b).entries
-            assert same_key == same_orbit(normalize_even(a), normalize_even(b))
+            assert same_key == same_orbit(flip(a), flip(b))
 
 
 @given(enhanced_seqs)

@@ -48,13 +48,13 @@ class InvariantReport:
 
 
 def invariants(seq: EnhancedSequence) -> InvariantReport:
-    """Compute the full invariant report (oracle-backed, closed forms checked)."""
-    diagram = diagrams.build_diagram(seq)
-    mu = diagram.ncomponents
-    nabla = diagrams._conway_of(diagram)
+    """The full invariant report: the oracle's polynomials of the link and of
+    each component (`diagrams.component_conway`), closed forms checked."""
+    nabla = diagrams.oracle_conway(seq)
+    mu = sequences.component_count(seq)
     # A knot is its own only component: reuse nabla, not a second determinant.
     comps = (nabla,) if mu == 1 else tuple(
-        diagrams.component_conway(diagram, j) for j in range(1, mu + 1))
+        diagrams.component_conway(seq, j) for j in range(1, mu + 1))
     a2_sum = sum(c.coefficient(2) for c in comps)
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
@@ -62,8 +62,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
         raise InternalConsistencyError(
             f"closed-form component a2 total disagrees with the oracle's "
             f"{a2_sum} on {seq}")
-    has_even = any(e.is_even for e in seq)
-    key = sequences.canonical_key(seq) if has_even else None
+    key = sequences.canonical_key(seq) if any(e.is_even for e in seq) else None
     return InvariantReport(
         sequence=seq, mu=mu, linking=sequences.linking_matrix(seq),
         conway=nabla, a_lower=a_lower, a_upper=a_upper,
@@ -81,10 +80,10 @@ def delta_equivalent(a: EnhancedSequence, b: EnhancedSequence) -> bool:
     reflection of the component cycle (Murakami-Nakanishi 1989).
 
     `sequences.linking_matrix` reads the matrices off the words, no diagram
-    built.  With mu >= 3 each component is one run between neighbouring even
-    regions, numbered round the cycle, so b's rotations and reflections have
-    exactly b's matrix under the 2 mu dihedral relabellings of range(mu).
-    With mu <= 2 every relabelling fixes it.
+    built.  With mu >= 3 the components are the runs of
+    `sequences.component_runs`, numbered round the cycle, so b's rotations
+    and reflections have exactly b's matrix under the 2 mu dihedral
+    relabellings of range(mu).  With mu <= 2 every relabelling fixes it.
     """
     lk_a, lk_b = (sequences.linking_matrix(s) for s in (a, b))
     return len(lk_a) == len(lk_b) and any(

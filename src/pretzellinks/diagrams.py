@@ -10,9 +10,8 @@ x^-1 out of each of the n rows gives det(x*V - x^-1*V^T) = x^-n *
 det(y*V - V^T) at y = x^2, so the elimination runs in Z[y], on plain
 coefficient sequences and the `zpoly` kernels; one LaurentZ is built per
 determinant, for the rewrite in z.  Nothing here imports the resolution
-engines in `polynomials`.  `component_conway(diagram, j)` takes a built
-diagram and evaluates the side-closure of component j with the oracle, so a
-caller that needs every component builds the full diagram once.
+engines in `polynomials`.  `component_conway(seq, j)` evaluates the
+side-closure of component j's run (`sequences.component_runs`) by the oracle.
 
 Crossing-sign and pushoff conventions are frozen by calibration fixtures
 (P(1s,1s) -> -z, P(1r,1r) -> z, anti-parallel torus twists -> -p*z); the test
@@ -31,7 +30,8 @@ from .errors import (
     InvalidSequenceError,
     SplitDiagramError,
 )
-from .sequences import INF, EnhancedSequence, Entry, R, S, orientation_data
+from .sequences import INF, EnhancedSequence, Entry, R, S, component_runs
+from .sequences import orientation_data
 from .zpoly import (
     LaurentZ,
     ZPoly,
@@ -415,44 +415,28 @@ def _bareiss_det(m: list[list[Sequence[int]]]) -> Sequence[int]:
 
 def oracle_conway(seq: EnhancedSequence) -> ZPoly:
     """Conway polynomial via build -> split check -> Seifert matrix -> det."""
-    return _conway_of(build_diagram(seq))
-
-
-def _conway_of(diagram: Diagram) -> ZPoly:
+    diagram = build_diagram(seq)
     if diagram.is_split:
         return ZPoly.zero()
     return conway_from_seifert(seifert_matrix(diagram))
 
 
-def component_conway(diagram: Diagram, j: int) -> ZPoly:
+def component_conway(seq: EnhancedSequence, j: int) -> ZPoly:
     """Conway polynomial of component j (1-based) after deleting the others.
 
-    j's self-crossings lie in the regions it owns (both strands on j).  A
-    vertical region (k = 0 or even) joins the top and bottom bridge on each
-    side; any other region carries one bridge pair's strands to the next.
-    So with two or more vertical regions each component owns the regions
-    strictly between two neighbouring ones, a contiguous run, and
-    side-closing it gives a pretzel diagram with one crossingless region
-    appended.  One vertical region leaves one component; with none and
-    mu = 2, j owns only infinity regions, keeps no crossing and is an unknot.
-    """
-    seq = diagram.seq
-    mu = diagram.ncomponents
-    if not 1 <= j <= mu:
-        raise InvalidSequenceError(f"component index {j} out of range 1..{mu}")
-    if mu == 1:
-        return _conway_of(diagram)
-    comp = j - 1
-    u = len(seq)
-    owned = {i for i, info in enumerate(diagram.regions)
-             if info.comp_left == comp == info.comp_right}
-    if not any(diagram.regions[i].crossings for i in owned):
+    j's self-crossings lie in its run (`sequences.component_runs`), and
+    side-closing the run gives a pretzel diagram with one crossingless
+    region appended; a component that owns no region is an unknot."""
+    runs = component_runs(seq)
+    if not 1 <= j <= len(runs):
+        raise InvalidSequenceError(f"component index {j} out of range 1..{len(runs)}")
+    if len(runs) == 1:
+        return oracle_conway(seq)
+    run = tuple(seq[i] for i in runs[j - 1])
+    if not run:
         return ZPoly.one()
-    start = next(i for i in range(u) if i not in owned)  # a vertical region
-    run = [seq[i] for i in ((start + off) % u for off in range(1, u)) if i in owned]
-    flips = sum(1 for e in run if e.eps is R)
-    closer = Entry(0, R if flips % 2 else S)
-    return oracle_conway(EnhancedSequence(tuple(run) + (closer,), base=True))
+    closer = Entry(0, R if sum(e.eps is R for e in run) % 2 else S)
+    return oracle_conway(EnhancedSequence(run + (closer,), base=True))
 
 
 # ---------------------------------------------------------------------------

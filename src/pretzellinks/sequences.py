@@ -6,8 +6,8 @@ type: S for anti-parallel strands, R for parallel strands.  Everything here
 is pure and value-based.  The orientation rule lives here: `orientation_data`
 decides which tag words are realizable and orients their bridges, and
 `is_realizable`, `enumerate_enhancements`, the resolution engines and the
-diagram construction in `diagrams` all take it from here.  `component_count`
-and `linking_matrix` read the link's components off the word, no diagram built.
+diagram construction in `diagrams` all take it from here.  `component_count`,
+`component_runs` and `linking_matrix` read the components off the word.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     UnrealizableOrientationError,
     parse_int,
+    quoted,
 )
 
 
@@ -145,7 +146,7 @@ class EnhancedSequence:
         for tok in _split_sequence_text(text):
             m = _ENTRY_RE.match(tok)
             if not m or m.group("eps") is None:
-                raise ParseError(f"bad enhanced entry: {tok!r}")
+                raise ParseError(f"bad enhanced entry: {quoted(tok)}")
             k_s = m.group("k")
             k = INF if k_s == "inf" else parse_int(k_s)
             eps = S if m.group("eps").lower() == "s" else R
@@ -159,10 +160,10 @@ def _split_sequence_text(text: str) -> list[str]:
     if m:
         s = m.group("body")
     if not s.strip():
-        raise ParseError(f"empty sequence text: {text!r}")
+        raise ParseError(f"empty sequence text: {quoted(text)}")
     toks = [p.strip() for p in s.split(",")]
     if not all(toks):
-        raise ParseError(f"empty entry in sequence text: {text!r}")
+        raise ParseError(f"empty entry in sequence text: {quoted(text)}")
     return toks
 
 
@@ -172,7 +173,7 @@ def parse_plain(text: str) -> tuple[int, ...]:
     for tok in _split_sequence_text(text):
         m = _ENTRY_RE.match(tok)
         if not m or m.group("eps") is not None or m.group("k") == "inf":
-            raise ParseError(f"bad plain entry: {tok!r}")
+            raise ParseError(f"bad plain entry: {quoted(tok)}")
         ks.append(parse_int(m.group("k")))
     return tuple(ks)
 
@@ -252,19 +253,35 @@ def orientation_data(seq: EnhancedSequence) -> tuple[tuple[int, ...], tuple[int,
     return pinned, pinned if plus else tuple([-t for t in pinned])
 
 
+def component_runs(seq: EnhancedSequence) -> tuple[tuple[int, ...], ...]:
+    """Each component's owned regions (both strands on it) of a realizable
+    user word, numbered as `diagrams.build_diagram` numbers components.
+
+    An even region joins the top and bottom bridge on each side, and an odd
+    one carries one bridge pair's strands to the next.  So with two or more
+    even regions component c owns the odd regions strictly between the
+    (c-1)-th and c-th even region, in cyclic order.  A knot owns every region,
+    and the two components of an all-odd word own none."""
+    orientation_data(seq)
+    u = len(seq)
+    if component_count(seq) == 1:
+        return (tuple(range(u)),)
+    ends = [i for i, e in enumerate(seq.entries) if e.is_even]
+    if not ends:
+        return ((), ())
+    return tuple(tuple(i % u for i in range(a + 1, b))
+                 for a, b in zip([ends[-1] - u] + ends[:-1], ends))
+
+
 def linking_matrix(seq: EnhancedSequence) -> tuple[tuple[int, ...], ...]:
     """Pairwise linking numbers (diagonal zero) of a realizable user word,
-    components numbered as `diagrams.build_diagram` numbers them.
+    components numbered by `component_runs`.
 
     A region's crossings have sign sign(k) for r (parallel strands) and
     -sign(k) for s, so a region on two components links them by w = k/2
-    (r) or -k/2 (s).  With two or more even regions, component c is the
-    run ending at the c-th even region, which joins it to the next run.
-    With none and an even length, both components pass every region,
-    linked by the sum of w.  Otherwise the word is a knot.
-    """
-    orientation_data(seq)
-    mu = component_count(seq)
+    (r) or -k/2 (s): the c-th even region links components c and c + 1,
+    and with no even region the two components by the sum of w."""
+    mu = len(component_runs(seq))
     doubled = [e.k if e.eps is R else -e.k for e in seq.entries]
     links = [v for v, e in zip(doubled, seq.entries) if e.is_even] or [sum(doubled)]
     lk = [[0] * mu for _ in range(mu)]

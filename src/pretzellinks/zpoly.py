@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalConsistencyError, ParseError, parse_int
+from .errors import InternalConsistencyError, ParseError, parse_int, quoted
 
 
 def exact_div(numerator: int, divisor: int) -> int:
@@ -237,17 +237,17 @@ class ZPoly:
         s = re.sub(r" *([+-]) *", r"\1", s).replace("-", "+-")
         chunks = [c for c in s.split("+") if c]
         if not chunks:
-            raise ParseError(f"cannot parse polynomial: {text!r}")
+            raise ParseError(f"cannot parse polynomial: {quoted(text)}")
         terms = []
         for chunk in chunks:
             m = cls._TERM_RE.fullmatch(chunk)
             if not m:
-                raise ParseError(f"bad polynomial term: {chunk!r}")
+                raise ParseError(f"bad polynomial term: {quoted(chunk)}")
             coeff_s = m.group("coeff")
             has_z = m.group("z") is not None
             if coeff_s in ("", "+", "-"):
                 if not has_z:
-                    raise ParseError(f"bad polynomial term: {chunk!r}")
+                    raise ParseError(f"bad polynomial term: {quoted(chunk)}")
                 coeff = -1 if coeff_s == "-" else 1
             else:
                 coeff = parse_int(coeff_s)

@@ -103,8 +103,8 @@ def test_invariants_evaluates_a_knot_determinant_once(monkeypatch):
 def test_invariants_checks_component_a2_against_the_closed_form(monkeypatch):
     component = diagrams.component_conway
 
-    def shifted(diagram, j):
-        value = component(diagram, j)
+    def shifted(seq, j):
+        value = component(seq, j)
         return value + ZPoly((0, 0, 1)) if j == 1 else value
 
     monkeypatch.setattr(diagrams, "component_conway", shifted)

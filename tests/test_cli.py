@@ -68,6 +68,23 @@ def test_overlong_integer_is_a_parse_error(capsys):
             parse(text)
 
 
+def test_long_malformed_text_is_quoted_in_bounded_length(capsys):
+    """A long malformed token, entry list or blank text exits 2 with a short
+    message, and every text parser quotes a bounded prefix of what it
+    rejects."""
+    fives = "5" * 100_000
+    for text in (f"{fives}x,1r", f"1r,,{fives}", " " * 100_000):
+        code, out, err = run(capsys, "conway", text)
+        assert code == 2 and not out, err[:200]
+        assert err.startswith("error: ") and len(err) < 200, err[:200]
+        assert "Traceback" not in err
+    for parse, text in ((parse_plain, f"{fives}x,1"), (parse_plain, f"1,,{fives}"),
+                        (ZPoly.parse, f"{fives}y"), (ZPoly.parse, "+" * 100_000)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert len(str(info.value)) < 200
+
+
 def test_equiv_fixture(capsys):
     code, out, _ = run(capsys, "equiv", "4s,5r,6r,-2r,-3r",
                        "6r,2s,7r,4s,-5r,-1r", "--relation", "self-delta")

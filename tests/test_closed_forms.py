@@ -166,6 +166,6 @@ def test_components_are_products_of_torus_values():
                     for info, e in zip(d.regions, s):
                         if info.comp_left == info.comp_right == j - 1 and e.k % 2:
                             want = want * torus_conway(e.k, R)
-                    assert component_conway(d, j) == want, (str(s), j)
+                    assert component_conway(s, j) == want, (str(s), j)
                     checked += 1
     assert checked == 5912

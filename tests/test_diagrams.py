@@ -5,7 +5,13 @@ import random
 import pytest
 
 from bareiss_reference import dense_laurent_det, x_form_conway
-from conftest import all_plain_sequences, parity_law_ok, random_deep_words, seq
+from conftest import (
+    all_plain_sequences,
+    parity_law_ok,
+    random_deep_words,
+    random_realizable,
+    seq,
+)
 from link_reference import region_linking_matrix, region_signs
 from pretzellinks import diagrams
 from pretzellinks.diagrams import (
@@ -26,7 +32,7 @@ from pretzellinks.errors import (
     SplitDiagramError,
     UnrealizableOrientationError,
 )
-from pretzellinks.polynomials import psi_poly, twistreduce_conway
+from pretzellinks.polynomials import psi_poly, statesum_conway, twistreduce_conway
 from pretzellinks.sequences import (
     INF,
     EnhancedSequence,
@@ -34,6 +40,7 @@ from pretzellinks.sequences import (
     R,
     S,
     component_count,
+    component_runs,
     enumerate_enhancements,
     linking_matrix,
 )
@@ -116,11 +123,17 @@ def test_linking_examples():
 
 def test_word_linking_matrix_equals_the_region_sum():
     # Exact equality, components in the same order, on every realizable
-    # word with u <= 4 and |k| <= 4.
+    # word with u <= 4 and |k| <= 4; so are the regions each component owns.
     words = [s for ks in all_plain_sequences(4, 4) for s in enumerate_enhancements(ks)]
     assert len(words) == 11752
     for s in words:
-        assert linking_matrix(s) == region_linking_matrix(build_diagram(s)), str(s)
+        d = build_diagram(s)
+        assert linking_matrix(s) == region_linking_matrix(d), str(s)
+        runs = component_runs(s)
+        assert len(runs) == d.ncomponents, str(s)
+        for c, run in enumerate(runs):
+            owned = [i for i, r in enumerate(d.regions) if r.comp_left == r.comp_right == c]
+            assert sorted(run) == owned, (str(s), c)
 
 
 def test_linking_equals_a1_for_two_components():
@@ -439,6 +452,23 @@ def test_rotation_reflection_invariance():
         reflected = EnhancedSequence(tuple(reversed(s.entries)))
         assert oracle_conway(rotated) == base
         assert oracle_conway(reflected) == base
+        # The components are relabelled, but their polynomials are the same.
+        comps = [sorted(str(component_conway(w, j))
+                        for j in range(1, component_count(w) + 1))
+                 for w in (s, rotated, reflected)]
+        assert comps[0] == comps[1] == comps[2], str(s)
+    # Long words through the state sum, in both of its classes: class A
+    # (every region odd s) and class B (the rest).
+    for u in (50, 100, 200):
+        words = {}
+        while len(words) < 2:
+            s = random_realizable(rng, u, 30, all_odd=rng.random() < 0.5)
+            words.setdefault(all(e.eps is S and e.k % 2 for e in s), s)
+        for s in words.values():
+            t = rng.randrange(1, u)
+            base = statesum_conway(s)
+            assert statesum_conway(EnhancedSequence(s.entries[t:] + s.entries[:t])) == base
+            assert statesum_conway(EnhancedSequence(s.entries[::-1])) == base
 
 
 def test_minus_two_normalization_isotopy():
@@ -517,27 +547,30 @@ def test_skein_checks_pass_on_samples():
 
 
 def test_component_conway_values():
-    k1 = build_diagram(seq((6, R), (-6, R), (1, R), (1, R)))
+    k1 = seq((6, R), (-6, R), (1, R), (1, R))
     assert component_conway(k1, 1) == ZPoly.one()
     assert component_conway(k1, 2) == ZPoly.one()
     # Normal-form sequences have trivial components.
-    nf = build_diagram(seq((4, S), (6, R), (2, S), (1, R)))
+    nf = seq((4, S), (6, R), (2, S), (1, R))
     for j in (1, 2, 3):
         assert component_conway(nf, j) == ZPoly.one()
     # A 3-twist run side-closes into a trefoil component.
-    d = build_diagram(seq((-2, S), (2, R), (-3, R)))
-    assert sorted(str(component_conway(d, j)) for j in (1, 2)) == ["1", "1 + z^2"]
+    s = seq((-2, S), (2, R), (-3, R))
+    assert sorted(str(component_conway(s, j)) for j in (1, 2)) == ["1", "1 + z^2"]
     # Whole diagram for a knot.
     knot = seq((2, S), (3, R), (3, R))
-    assert component_conway(build_diagram(knot), 1) == oracle_conway(knot)
-    assert component_conway(build_diagram(knot), 1) == twistreduce_conway(knot)
+    assert component_conway(knot, 1) == oracle_conway(knot)
+    assert component_conway(knot, 1) == twistreduce_conway(knot)
     with pytest.raises(InvalidSequenceError):
         component_conway(k1, 3)
-    # With no k = 0 or even region a component owns only infinity regions,
-    # keeps no crossing and is an unknot, even when those regions are apart.
-    for text in ("infr,1s,1s,infr,1s,1s", "1s,1s,infr", "infs"):
-        d = build_diagram(EnhancedSequence.parse(text, base=True))
-        assert [component_conway(d, j) for j in (1, 2)] == [ZPoly.one()] * 2
+    # Components are read off a user-level word; a base word is refused.
+    with pytest.raises(InvalidSequenceError, match="user-level"):
+        component_conway(EnhancedSequence.parse("1s,1s,infr", base=True), 1)
+    # With no even region both components of a 2-component word own no
+    # region, keep no crossing and are unknots.
+    for s in (seq((1, S), (1, S)), seq((3, R), (-1, R), (5, R), (1, R))):
+        assert component_runs(s) == ((), ())
+        assert [component_conway(s, j) for j in (1, 2)] == [ZPoly.one()] * 2
 
 
 def test_component_owns_one_run():

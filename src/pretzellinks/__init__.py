@@ -32,7 +32,7 @@ from .diagrams import (
     Diagram,
     SeifertMatrix,
     build_diagram,
-    component_conway,
+    component_conways,
     conway_from_seifert,
     oracle_conway,
     pd_code,

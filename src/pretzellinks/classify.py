@@ -49,12 +49,12 @@ class InvariantReport:
 
 def invariants(seq: EnhancedSequence) -> InvariantReport:
     """The full invariant report: the oracle's polynomials of the link and of
-    each component (`diagrams.component_conway`), closed forms checked."""
+    each component (`diagrams.component_conways`), closed forms checked."""
     nabla = diagrams.oracle_conway(seq)
-    mu = sequences.component_count(seq)
+    linking = sequences.linking_matrix(seq)
+    mu = len(linking)
     # A knot is its own only component: reuse nabla, not a second determinant.
-    comps = (nabla,) if mu == 1 else tuple(
-        diagrams.component_conway(seq, j) for j in range(1, mu + 1))
+    comps = (nabla,) if mu == 1 else diagrams.component_conways(seq)
     a2_sum = sum(c.coefficient(2) for c in comps)
     a_lower = nabla.coefficient(mu - 1)
     a_upper = nabla.coefficient(mu + 1)
@@ -64,7 +64,7 @@ def invariants(seq: EnhancedSequence) -> InvariantReport:
             f"{a2_sum} on {seq}")
     key = sequences.canonical_key(seq) if any(e.is_even for e in seq) else None
     return InvariantReport(
-        sequence=seq, mu=mu, linking=sequences.linking_matrix(seq),
+        sequence=seq, mu=mu, linking=linking,
         conway=nabla, a_lower=a_lower, a_upper=a_upper,
         component_conways=comps, component_a2_sum=a2_sum,
         a_upper_corrected=a_upper - a_lower * a2_sum,

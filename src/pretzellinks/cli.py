@@ -226,22 +226,18 @@ def _selftest_suites():
 
 
 def _cmd_selftest(args) -> int:
-    failures = 0
-    results = []
+    results, lines = [], []
     for name, suite in _selftest_suites():
         try:
             ok = suite()
         except Exception as exc:  # a crash is a failure, not an abort
-            ok = False
             results.append({"suite": name, "ok": False, "error": repr(exc)})
-            print(f"FAIL {name}: {exc!r}")
-            failures += 1
+            lines.append(f"FAIL {name}: {exc!r}")
             continue
         results.append({"suite": name, "ok": ok})
-        print(("PASS" if ok else "FAIL"), name)
-        failures += 0 if ok else 1
-    if args.json:
-        print(json.dumps({"results": results, "failures": failures}, indent=2))
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
+    failures = sum(not r["ok"] for r in results)
+    _emit({"results": results, "failures": failures}, args.json, lines)
     return 0 if failures == 0 else 1
 
 

@@ -10,8 +10,9 @@ x^-1 out of each of the n rows gives det(x*V - x^-1*V^T) = x^-n *
 det(y*V - V^T) at y = x^2, so the elimination runs in Z[y], on plain
 coefficient sequences and the `zpoly` kernels; one LaurentZ is built per
 determinant, for the rewrite in z.  Nothing here imports the resolution
-engines in `polynomials`.  `component_conway(seq, j)` evaluates the
-side-closure of component j's run (`sequences.component_runs`) by the oracle.
+engines in `polynomials`.  `component_conways(seq)` evaluates the
+side-closure of each component's run (`sequences.component_runs`) by the
+oracle.
 
 Crossing-sign and pushoff conventions are frozen by calibration fixtures
 (P(1s,1s) -> -z, P(1r,1r) -> z, anti-parallel torus twists -> -p*z); the test
@@ -421,22 +422,24 @@ def oracle_conway(seq: EnhancedSequence) -> ZPoly:
     return conway_from_seifert(seifert_matrix(diagram))
 
 
-def component_conway(seq: EnhancedSequence, j: int) -> ZPoly:
-    """Conway polynomial of component j (1-based) after deleting the others.
+def component_conways(seq: EnhancedSequence) -> tuple[ZPoly, ...]:
+    """Conway polynomial of each component after deleting the others, in
+    the order of `sequences.component_runs`, which is read once.
 
-    j's self-crossings lie in its run (`sequences.component_runs`), and
-    side-closing the run gives a pretzel diagram with one crossingless
-    region appended; a component that owns no region is an unknot."""
+    A component's self-crossings lie in its run, and side-closing the run
+    gives a pretzel diagram with one crossingless region appended; a
+    component that owns no region is an unknot, and a knot is its own
+    only component."""
     runs = component_runs(seq)
-    if not 1 <= j <= len(runs):
-        raise InvalidSequenceError(f"component index {j} out of range 1..{len(runs)}")
     if len(runs) == 1:
-        return oracle_conway(seq)
-    run = tuple(seq[i] for i in runs[j - 1])
-    if not run:
-        return ZPoly.one()
-    closer = Entry(0, R if sum(e.eps is R for e in run) % 2 else S)
-    return oracle_conway(EnhancedSequence(run + (closer,), base=True))
+        return (oracle_conway(seq),)
+    comps = []
+    for run in runs:
+        entries = tuple(seq[i] for i in run)
+        closer = Entry(0, R if sum(e.eps is R for e in entries) % 2 else S)
+        comps.append(oracle_conway(EnhancedSequence(entries + (closer,), base=True))
+                     if entries else ZPoly.one())
+    return tuple(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ finite entries (`_base_counts`); a lemma on base-word orientations (see
 `base_conway`) shows it covers every orientable base word, and the tests
 check it against the diagram oracle.  The state sum groups its 2^u states
 into count classes in one pass over the regions, with O(u) polynomial
-products.  When every region is odd s or inf r it keeps one pair of
-polynomials in the transfer form, by Conway's skein step on the (2, j)
-torus values that `_base_value` gives; otherwise it keeps two running sums,
-for the states with no zero and with one, and reads `_base_value` on counts
-taken off the word, with no state built.  The twist recursion still
+products and no state built.  In both of its classes it keeps one pair of
+polynomials, which starts from `_base_value` values and which each
+region's counted resolution moves by one step: Conway's skein step on the
+(2, j) torus values when every region is odd s or inf r, and otherwise a
+shift, since a second zero splits the link.  The twist recursion still
 visits up to 2^u partial sequences, but counts its leaves and calls
 `base_conway`, which checks its word before it applies the rule, once per
 count class through a leaf table that lives for one call; only those
@@ -134,12 +134,11 @@ def _base_value(m: int, zeros: int, ones_s: int) -> tuple[int, ...]:
     """Coefficients of an orientable base word's value from its
     `_base_counts`, by the rules of `base_conway`.
 
-    The state sum reads two values per class-B call, at (n, 0, 0) and
-    (n + 1, 1, 0) for its n r regions, and the twist recursion one per
-    count class; a table or a sweep meets few distinct counts, so each
-    value is computed once and kept in a bounded cache that lives across
-    calls, like `_split_resolutions`; every value in it is an immutable
-    tuple."""
+    The state sum reads the values of its start pair, two per call (one
+    in class A), and the twist recursion one per count class; a table or a
+    sweep meets few distinct counts, so each value is computed once and
+    kept in a bounded cache that lives across calls, like
+    `_split_resolutions`; every value in it is an immutable tuple."""
     if not m:
         return ()
     if ones_s == m:
@@ -219,25 +218,28 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
 
     Mark each region's counted resolution by t.  The t^j coefficient of
     prod_i (other_i + marked_i * t) is the summed coefficient of the states
-    with count j, so the sum is sum_j [t^j] * value(one state with count j).
+    with count j, so the sum is sum_j [t^j] V_j, with V_j the value of one
+    state with count j.  The pass keeps one pair (a, b), the
+    coefficient-weighted sum of (V'_j, V_j) over the states of the regions
+    so far, where the companion V'_j makes raising j a fixed step on the
+    pair.  A region updates it by (a, b) <- other * (a, b) + marked *
+    step(a, b), and the sum is b at the end: O(u) products, each O(u)
+    long.  The class chooses only the start pair (V'_0, V_0) and the step,
+    and every start value but class A's T_(-1) comes from `_base_value`.
 
-    Class A uses the transfer form.  A state with j 1s is worth T_j =
-    torus_conway(-j, R), and Conway's skein step on the (2, j) torus link
-    (Conway 1970) gives T_j = T_(j-2) - z T_(j-1), with T_0 = 0 (no finite
-    entry) and T_1 = 1, so T_(-1) = 1.  Multiplying by t turns the pair
-    (T_(j-1), T_j) into (T_j, T_(j-1) - z T_j).  So the pass keeps one pair
-    (a, b), the coefficient-weighted sum of (T_(j-1), T_j) over the states
-    of the regions so far, starting from (1, 0), updates it by
-    (a, b) <- other * (a, b) + marked * (b, a - z b), and returns b: O(u)
-    products, each O(u) long.  The tests pin T_j against `_base_value`.
+    Class A: V_j = T_j = torus_conway(-j, R) and V'_j = T_(j-1).  Conway's
+    skein step on the (2, j) torus link (Conway 1970) gives T_j = T_(j-2) -
+    z T_(j-1), with T_0 = 0 (no finite entry) and T_1 = 1, so T_(-1) = 1.
+    The pair starts at (1, T_0) and steps (a, b) -> (b, a - z b).
 
-    Class B cuts the product after t^1: it keeps two running sums, for
-    counts 0 and 1, and reads their values off the word.  Every r region
-    is finite and their number n is even, and a state with no zero takes
-    1r in each, so its counts are (n, 0, 0); a state with one zero is worth
-    1.  A region whose only resolution is a zero (a base word's 0s or 0r)
-    has no other coefficient, so it empties the count-0 sum and leaves the
-    count-1 sum to the states that take it; two such regions empty both.
+    Class B: V_j = W_j = _base_value(n + j, j, 0) for the word's n r
+    regions, and V'_j = W_(j+1).  Every r region is finite (a zero or 1r),
+    so a state with no zero has counts (n, 0, 0); a state with one zero is
+    an unknot, worth 1 for any m >= 1, and a second zero splits the link,
+    so W_j = 0 for j >= 2.  The pair starts at (W_1, W_0) and steps (a, b)
+    -> (0, a).  A region whose only resolution is a zero (a base word's 0s
+    or 0r) has no other coefficient, so it empties a.
+
     No state is built or counted.  The products and sums run on
     coefficient tuples, and one ZPoly is built at the end.
 
@@ -248,29 +250,23 @@ def statesum_conway(seq: EnhancedSequence) -> ZPoly:
     """
     # Each product takes the region's short coefficient first, so the
     # kernel's inner loop runs over the long running sum.
-    if _require_realizable(seq):
-        a, b = (1,), ()  # (T_(j-1), T_j) of the empty state: (1, 0)
-        for e in seq.entries:
-            marked, _, other, _ = _split_resolutions(e)
-            if marked:
-                a, b = (poly_add(poly_mul(other, a), poly_mul(marked, b)),
-                        poly_add(poly_mul(other, b),
-                                 poly_mul(marked, poly_add(a, [0, *[-c for c in b]]))))
-            else:
-                a, b = poly_mul(other, a), poly_mul(other, b)
-        return ZPoly(b)
-    low, high = (1,), ()
+    class_a = _require_realizable(seq)
+    if class_a:  # (T_(j-1), T_j) of the empty state
+        a, b = (1,), _base_value(0, 0, 0)
+    else:  # (W_(j+1), W_j) of the empty state
+        n = sum(e.eps is R for e in seq.entries)
+        a, b = _base_value(n + 1, 1, 0), _base_value(n, 0, 0)
     for e in seq.entries:
         marked, _, other, _ = _split_resolutions(e)
-        if high:
-            high = poly_add(poly_mul(other, high), poly_mul(marked, low))
+        if not marked:
+            a, b = poly_mul(other, a), poly_mul(other, b)
+        elif class_a:
+            a, b = (poly_add(poly_mul(other, a), poly_mul(marked, b)),
+                    poly_add(poly_mul(other, b),
+                             poly_mul(marked, poly_add(a, [0, *[-c for c in b]]))))
         else:
-            high = poly_mul(marked, low)
-        low = poly_mul(other, low)
-    n = sum(e.eps is R for e in seq.entries)
-    # A state with one zero is an unknot, worth 1 whatever its m >= 1.
-    return ZPoly(poly_add(poly_mul(low, _base_value(n, 0, 0)),
-                          poly_mul(high, _base_value(n + 1, 1, 0))))
+            a, b = poly_mul(other, a), poly_add(poly_mul(other, b), poly_mul(marked, a))
+    return ZPoly(b)
 
 
 # ---------------------------------------------------------------------------

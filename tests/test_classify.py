@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_plain_sequences, seq
 from link_reference import region_linking_matrix
-from pretzellinks import diagrams, polynomials
+from pretzellinks import diagrams, polynomials, sequences
 from pretzellinks.classify import (
     KNOT_UNDETERMINED,
     NOT_SLICE_SHAPE,
@@ -100,14 +100,28 @@ def test_invariants_evaluates_a_knot_determinant_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_invariants_reads_the_component_runs_once_per_use(monkeypatch):
+    """The linking matrix and the component polynomials each read the runs
+    once, whatever the number of components."""
+    calls = []
+    for module in (diagrams, sequences):
+        def counted(s, _f=module.component_runs):
+            calls.append(s)
+            return _f(s)
+        monkeypatch.setattr(module, "component_runs", counted)
+    rep = invariants(A)
+    assert rep.mu == 3
+    assert len(calls) <= 2, len(calls)
+
+
 def test_invariants_checks_component_a2_against_the_closed_form(monkeypatch):
-    component = diagrams.component_conway
+    components = diagrams.component_conways
 
-    def shifted(seq, j):
-        value = component(seq, j)
-        return value + ZPoly((0, 0, 1)) if j == 1 else value
+    def shifted(seq):
+        first, *rest = components(seq)
+        return (first + ZPoly((0, 0, 1)), *rest)
 
-    monkeypatch.setattr(diagrams, "component_conway", shifted)
+    monkeypatch.setattr(diagrams, "component_conways", shifted)
     with pytest.raises(InternalConsistencyError, match="component a2"):
         invariants(K1)
 
@@ -436,7 +450,7 @@ def test_enumerate_classes_analyses_each_orbit_once_per_call(monkeypatch):
     # One state sum and one class key per dihedral orbit.  The twist
     # surplus depends on the plain word alone: once per visited twist word,
     # plus once inside the class key of each orbit with mu >= 3.
-    from pretzellinks import classify, sequences
+    from pretzellinks import classify
     calls = collections.Counter()
     for module, name in ((polynomials, "statesum_conway"), (classify, "class_key"),
                          (sequences, "twist_surplus"),

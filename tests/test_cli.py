@@ -288,3 +288,11 @@ def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 5 and "FAIL" not in out
+
+
+def test_selftest_json_prints_only_the_object(capsys):
+    code, out, _ = run(capsys, "selftest", "--json")
+    report = json.loads(out)
+    assert code == 0
+    assert len(report["results"]) == 5 and report["failures"] == 0
+    assert all(r["ok"] for r in report["results"])

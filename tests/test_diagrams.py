@@ -19,7 +19,7 @@ from pretzellinks.diagrams import (
     SeifertMatrix,
     _bareiss_det,
     build_diagram,
-    component_conway,
+    component_conways,
     conway_from_seifert,
     oracle_conway,
     orientation_data,
@@ -453,8 +453,7 @@ def test_rotation_reflection_invariance():
         assert oracle_conway(rotated) == base
         assert oracle_conway(reflected) == base
         # The components are relabelled, but their polynomials are the same.
-        comps = [sorted(str(component_conway(w, j))
-                        for j in range(1, component_count(w) + 1))
+        comps = [sorted(str(c) for c in component_conways(w))
                  for w in (s, rotated, reflected)]
         assert comps[0] == comps[1] == comps[2], str(s)
     # Long words through the state sum, in both of its classes: class A
@@ -548,29 +547,25 @@ def test_skein_checks_pass_on_samples():
 
 def test_component_conway_values():
     k1 = seq((6, R), (-6, R), (1, R), (1, R))
-    assert component_conway(k1, 1) == ZPoly.one()
-    assert component_conway(k1, 2) == ZPoly.one()
+    assert component_conways(k1) == (ZPoly.one(), ZPoly.one())
     # Normal-form sequences have trivial components.
     nf = seq((4, S), (6, R), (2, S), (1, R))
-    for j in (1, 2, 3):
-        assert component_conway(nf, j) == ZPoly.one()
+    assert component_conways(nf) == (ZPoly.one(),) * 3
     # A 3-twist run side-closes into a trefoil component.
     s = seq((-2, S), (2, R), (-3, R))
-    assert sorted(str(component_conway(s, j)) for j in (1, 2)) == ["1", "1 + z^2"]
+    assert sorted(str(c) for c in component_conways(s)) == ["1", "1 + z^2"]
     # Whole diagram for a knot.
     knot = seq((2, S), (3, R), (3, R))
-    assert component_conway(knot, 1) == oracle_conway(knot)
-    assert component_conway(knot, 1) == twistreduce_conway(knot)
-    with pytest.raises(InvalidSequenceError):
-        component_conway(k1, 3)
+    assert component_conways(knot) == (oracle_conway(knot),)
+    assert component_conways(knot) == (twistreduce_conway(knot),)
     # Components are read off a user-level word; a base word is refused.
     with pytest.raises(InvalidSequenceError, match="user-level"):
-        component_conway(EnhancedSequence.parse("1s,1s,infr", base=True), 1)
+        component_conways(EnhancedSequence.parse("1s,1s,infr", base=True))
     # With no even region both components of a 2-component word own no
     # region, keep no crossing and are unknots.
     for s in (seq((1, S), (1, S)), seq((3, R), (-1, R), (5, R), (1, R))):
         assert component_runs(s) == ((), ())
-        assert [component_conway(s, j) for j in (1, 2)] == [ZPoly.one()] * 2
+        assert component_conways(s) == (ZPoly.one(),) * 2
 
 
 def test_component_owns_one_run():

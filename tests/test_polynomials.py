@@ -419,13 +419,24 @@ def test_statesum_reads_counts_only(monkeypatch):
 
 
 def test_transfer_recurrence_matches_the_count_rule():
-    """Class A's transfer form takes the value of a state with j 1s from
-    T_j = T_(j-2) - z T_(j-1), T_(-1) = 1, T_0 = 0 (Conway's skein step on
-    the (2, j) torus link); the count rule gives it directly."""
-    prev, cur = ZPoly.one(), ZPoly.zero()
-    for j in range(12):
-        assert cur.coeffs == polynomials._base_value(j, 0, j), j
-        prev, cur = cur, prev - Z * cur
+    """Each class's marking step, iterated from the state sum's start pair,
+    gives the value of a state with count j that the count rule gives
+    directly.  Class A keeps (T_(j-1), T_j), T_(-1) = 1, T_0 = 0, and steps
+    by T_j = T_(j-2) - z T_(j-1) (Conway's skein step on the (2, j) torus
+    link).  Class B, with n r regions, keeps (W_(j+1), W_j), W_j the value
+    at counts (n + j, j, 0), and steps by a shift, since W_j = 0 for
+    j >= 2."""
+    value = polynomials._base_value
+    classes = [((ZPoly.one(), ZPoly(value(0, 0, 0))),
+                lambda a, b: (b, a - Z * b), lambda j: value(j, 0, j))]
+    for n in (0, 2, 4, 10):
+        classes.append(((ZPoly(value(n + 1, 1, 0)), ZPoly(value(n, 0, 0))),
+                        lambda a, b: (ZPoly.zero(), a),
+                        lambda j, n=n: value(n + j, j, 0)))
+    for (a, b), step, want in classes:
+        for j in range(12):
+            assert b.coeffs == want(j), j
+            a, b = step(a, b)
 
 
 def _counted_kernels(monkeypatch):
@@ -458,9 +469,9 @@ STATESUM_WORK = {
     ("3s,-5s", 25): (200, 150, 2_499, 3_774),
     ("3s,-5s", 50): (400, 300, 9_999, 15_049),
     ("3s,-5s", 100): (800, 600, 39_999, 60_099),
-    ("3r,-2r", 25): (151, 50, 8_643, 2_048),
-    ("3r,-2r", 50): (301, 100, 34_168, 7_848),
-    ("3r,-2r", 100): (601, 200, 135_843, 30_698),
+    ("3r,-2r", 25): (150, 50, 8_597, 1_975),
+    ("3r,-2r", 50): (300, 100, 34_072, 7_700),
+    ("3r,-2r", 100): (600, 200, 135_647, 30_400),
 }
 
 
